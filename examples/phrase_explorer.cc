@@ -15,7 +15,7 @@
 //   algo <name>        switch algorithm: exact | gm | simitsis | nra | smj
 //   k <n>              result count
 //   frac <f>           partial-list fraction (rebuilds SMJ lists)
-//   save <dir>         persist the engine snapshot
+//   save <path>        persist the engine as one index file
 //   quit
 
 #include <cstdio>
@@ -127,9 +127,9 @@ int main(int argc, char** argv) {
     }
     if (head == "save") {
       std::istringstream r(rest);
-      std::string dir;
-      r >> dir;
-      Status s = engine.SaveToDirectory(dir);
+      std::string path;
+      r >> path;
+      Status s = engine.SaveToFile(path);
       std::printf("  %s\n", s.ToString().c_str());
       continue;
     }

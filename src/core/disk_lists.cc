@@ -93,16 +93,6 @@ DiskResidentLists::DiskResidentLists(const WordScoreLists& lists,
   PlaceAndRegister();
 }
 
-DiskResidentLists::DiskResidentLists(const WordScoreLists& lists,
-                                     const PhraseListFile& phrase_file,
-                                     DiskOptions options)
-    : lists_(lists),
-      phrase_file_(phrase_file),
-      device_(std::make_unique<SimulatedDisk>(options)) {
-  options_.disk = options;  // budget 0: resident_ stays empty, all spills
-  PlaceAndRegister();
-}
-
 void DiskResidentLists::PlaceAndRegister() {
   for (TermId t : lists_.Terms()) {
     const uint64_t entries = lists_.list(t).size();

@@ -98,13 +98,6 @@ class DiskResidentLists {
                     std::unique_ptr<DiskBackend> device = nullptr,
                     MappedListLayout layout = {});
 
-  /// Fully disk-resident tier (budget 0): every list spills, no hotness
-  /// order needed. The pre-tier construction path, kept for callers that
-  /// only want the Section 5.5 protocol.
-  DiskResidentLists(const WordScoreLists& lists,
-                    const PhraseListFile& phrase_file,
-                    DiskOptions options = {});
-
   DiskResidentLists(const DiskResidentLists&) = delete;
   DiskResidentLists& operator=(const DiskResidentLists&) = delete;
 

@@ -19,9 +19,6 @@ namespace phrasemine {
 
 namespace {
 
-/// File name of an engine persisted into a directory.
-constexpr const char* kIndexFileName = "engine.pmidx";
-
 /// Serializes one structure into a detached payload buffer.
 template <typename Fn>
 std::vector<uint8_t> SerializeSection(Fn&& serialize) {
@@ -253,15 +250,6 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
   engine.index_file_ = std::move(file);
   engine.smj_fraction_ = options.default_smj_fraction;
   return engine;
-}
-
-Status MiningEngine::SaveToDirectory(const std::string& dir) const {
-  return SaveToFile(dir + "/" + kIndexFileName);
-}
-
-Result<MiningEngine> MiningEngine::LoadFromDirectory(const std::string& dir,
-                                                     Options options) {
-  return LoadFromFile(dir + "/" + kIndexFileName, options);
 }
 
 Result<Query> MiningEngine::ParseQuery(std::string_view text,

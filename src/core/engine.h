@@ -238,11 +238,12 @@ struct MiningEngineOptions {
 ///     shared SimulatedDisk. kNra and kSmj run fully in parallel once
 ///     their lists exist -- these are the paper's serving algorithms and
 ///     the ones PhraseService routes through its own cache.
-///   * Structural mutations -- SetSmjFraction, SaveToDirectory,
-///     LoadFromDirectory, moves -- require external exclusive access: no
+///   * Structural mutations -- SetSmjFraction, moves (including assigning
+///     a LoadFromFile result) -- require external exclusive access: no
 ///     concurrent Mine(), ApplyUpdate() or Rebuild() calls may be in
-///     flight. SaveToDirectory persists the base structures only; call
-///     Rebuild() first if updates are pending.
+///     flight. SaveToFile reads under the shared structure lock and
+///     persists the base structures only; call Rebuild() first if updates
+///     are pending.
 class MiningEngine {
  public:
   using Options = MiningEngineOptions;
@@ -269,12 +270,6 @@ class MiningEngine {
   /// mapped structure bytes (index_file(), MappedDisk).
   static Result<MiningEngine> LoadFromFile(const std::string& path,
                                            Options options = {});
-
-  /// SaveToFile/LoadFromFile at the fixed name "engine.pmidx" inside an
-  /// existing directory.
-  Status SaveToDirectory(const std::string& dir) const;
-  static Result<MiningEngine> LoadFromDirectory(const std::string& dir,
-                                                Options options = {});
 
   /// Outcome of the last options-driven persist (Build / Rebuild with
   /// persist_path set); OK when no persist was requested.

@@ -13,6 +13,11 @@ namespace phrasemine {
 
 namespace {
 
+/// Lock shards of each service cache.
+constexpr std::size_t kCacheShards = 8;
+/// Entries the slow-query log retains (oldest evicted first).
+constexpr std::size_t kSlowQueryLogCapacity = 64;
+
 /// Approximate bytes a cached result pins in memory.
 std::size_t ResultCharge(const std::string& key,
                          const PhraseService::CachedResult& cached) {
@@ -106,14 +111,12 @@ std::string ServiceStats::ToString() const {
 PhraseService::PhraseService(MiningEngine* engine,
                              PhraseServiceOptions options)
     : engine_(engine),
-      options_(options),
-      smj_fraction_(options.smj_fraction.value_or(engine->smj_fraction())),
-      planner_(engine, options.planner,
+      options_(std::move(options)),
+      smj_fraction_(engine->smj_fraction()),
+      planner_(std::in_place, engine, options_.planner,
                // Probe the service's own cache so planning never races
-               // with engine-internal merges. With the cache disabled the
-               // probe conservatively reports "not built".
+               // with engine-internal merges.
                [this](TermId term) -> std::optional<std::size_t> {
-                 if (!options_.enable_word_list_cache) return std::nullopt;
                  const uint64_t generation = engine_->list_generation();
                  if (auto entry =
                          word_list_cache_.Peek(ScoreListKey(term, generation))) {
@@ -121,42 +124,24 @@ PhraseService::PhraseService(MiningEngine* engine,
                  }
                  return std::nullopt;
                }),
-      result_cache_(options.result_cache_shards, options.result_cache_bytes,
-                    &registry_, "result_cache"),
-      word_list_cache_(options.word_list_cache_shards,
-                       options.word_list_cache_bytes, &registry_,
-                       "word_list_cache"),
-      pool_(PoolOptionsWith(options.pool, &registry_)) {
-  if (options_.num_shards > 0) {
-    // The num_shards config switch: reshard the engine's base corpus into
-    // an internal ShardedEngine (one corpus copy + shard index build) and
-    // serve every query through the scatter-gather path.
-    ShardedEngineOptions sharded_options;
-    sharded_options.num_shards = options_.num_shards;
-    // A disk tier configured on the engine survives the reshard:
-    // ShardedEngine::Build merges the embedded engine options' tier
-    // into the fleet-level switches.
-    sharded_options.engine = engine_->options();
-    owned_sharded_ = std::make_unique<ShardedEngine>(ShardedEngine::Build(
-        engine_->CloneBaseCorpus(), std::move(sharded_options)));
-    sharded_ = owned_sharded_.get();
-  }
+      result_cache_(kCacheShards, options_.result_cache_bytes, &registry_,
+                    "result_cache"),
+      word_list_cache_(kCacheShards, options_.word_list_cache_bytes,
+                       &registry_, "word_list_cache"),
+      pool_(PoolOptionsWith(options_.pool, &registry_)) {
   InitMetrics();
 }
 
 PhraseService::PhraseService(ShardedEngine* sharded,
                              PhraseServiceOptions options)
-    : engine_(&sharded->shard(0)),
-      options_(options),
-      sharded_(sharded),
-      smj_fraction_(1.0),  // sharded SMJ always merges full lists
-      planner_(engine_, options.planner),
-      result_cache_(options.result_cache_shards, options.result_cache_bytes,
-                    &registry_, "result_cache"),
-      word_list_cache_(options.word_list_cache_shards,
-                       options.word_list_cache_bytes, &registry_,
-                       "word_list_cache"),
-      pool_(PoolOptionsWith(options.pool, &registry_)) {
+    : sharded_(sharded),
+      options_(std::move(options)),
+      smj_fraction_(1.0),
+      result_cache_(kCacheShards, options_.result_cache_bytes, &registry_,
+                    "result_cache"),
+      word_list_cache_(kCacheShards, options_.word_list_cache_bytes,
+                       &registry_, "word_list_cache"),
+      pool_(PoolOptionsWith(options_.pool, &registry_)) {
   InitMetrics();
 }
 
@@ -281,8 +266,7 @@ Status PhraseService::AdmissionCheck(const ServiceRequest& request) {
         "admission queue full (depth " + std::to_string(depth) +
         " >= bound " + std::to_string(adm.max_queue_depth) + ")");
   }
-  if (!adm.cost_gate || request.cancel == nullptr ||
-      !request.cancel->has_deadline()) {
+  if (request.cancel == nullptr || !request.cancel->has_deadline()) {
     return Status::OK();
   }
   const double remaining = request.cancel->remaining_ms();
@@ -293,31 +277,15 @@ Status PhraseService::AdmissionCheck(const ServiceRequest& request) {
       static_cast<double>(ewma_latency_us_.load(std::memory_order_relaxed)) /
       1000.0;
   if (ewma_ms <= 0.0) return Status::OK();  // no latency signal yet: admit
-  double exec_ms = ewma_ms;
-  if (adm.cost_to_ms > 0.0 && sharded_ == nullptr &&
-      !request.algorithm.has_value()) {
-    // One extra (cheap, list-build-free) planning pass converts the cost
-    // model's entry estimate into milliseconds; the measured EWMA stays
-    // the floor so a mistuned cost_to_ms can only shed earlier, not admit
-    // queries the observed latency already rules out.
-    const Query canonical = CanonicalizeQuery(request.query);
-    const PlanDecision decision =
-        planner_.Plan(canonical, request.options, engine_->delta_snapshot());
-    for (const auto& [algorithm, cost] : decision.estimated_costs) {
-      if (algorithm == decision.algorithm) {
-        exec_ms = std::max(exec_ms, cost * adm.cost_to_ms);
-        break;
-      }
-    }
-  }
+  // The EWMA prices both the queued tasks ahead and this request itself.
   const double wait_ms = static_cast<double>(depth) * ewma_ms /
                          static_cast<double>(pool_.num_threads());
-  if (wait_ms + exec_ms > remaining) {
+  if (wait_ms + ewma_ms > remaining) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "hopeless under deadline: projected %.1fms wait + %.1fms "
                   "execute > %.1fms remaining",
-                  wait_ms, exec_ms, remaining);
+                  wait_ms, ewma_ms, remaining);
     return Status::ResourceExhausted(buf);
   }
   return Status::OK();
@@ -335,7 +303,6 @@ Status PhraseService::ValidateRequest(const Query& canonical,
 }
 
 ServiceReply PhraseService::Execute(const ServiceRequest& request) {
-  if (sharded_ != nullptr) return ExecuteSharded(request);
   StopWatch watch;
   ServiceReply reply;
   // The request's span tree hangs off the reply, never the cached result;
@@ -346,71 +313,90 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     reply.trace->name = "query";
   }
   TraceSpan* troot = reply.trace.get();
+  // Stamps the reply's latency and the trace root's wall time.
+  auto finish = [&] {
+    reply.latency_ms = watch.ElapsedMillis();
+    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+  };
   const Query canonical = CanonicalizeQuery(request.query);
   if (Status invalid = ValidateRequest(canonical, request.options);
       !invalid.ok()) {
     reply.status = std::move(invalid);
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+    finish();
     return reply;
   }
   // Thread the request's token into the mine options every layer below
-  // receives; the cache key serializer ignores the pointer, so deadline
-  // and no-deadline spellings of a query share cache entries.
+  // receives (on a fleet, one shared token cancels every shard leg); the
+  // cache key serializer ignores the pointer, so deadline and no-deadline
+  // spellings of a query share cache entries.
   MineOptions mine_options = request.options;
   if (request.cancel != nullptr) mine_options.cancel = request.cancel.get();
+  // Caller-supplied delta overlays are external mutable state and never
+  // cached; the engines' own overlays are immutable per epoch, so their
+  // results cache fine under the epoch-stamped key. A fleet applies its
+  // own per-shard overlays (and would refuse an external one), so it
+  // drops the caller's and says so in the plan.
+  const bool caller_delta = mine_options.delta != nullptr;
+  if (sharded_ != nullptr) mine_options.delta = nullptr;
   if (CancelExpired(mine_options.cancel)) {
     deadline_exceeded_total_->Increment();
     reply.status =
         Status::DeadlineExceeded("deadline expired before execution");
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+    finish();
     return reply;
   }
   CountTermQueries(canonical);
 
-  // One update snapshot per request: the epoch keys the result cache, the
+  // One freshness snapshot per request, fetched before planning so a
+  // racing Ingest can only move this request to a *newer* epoch. A single
+  // engine's update snapshot: the epoch keys the result cache, the
   // generation keys the word lists, and the overlay delta-corrects the
-  // mine. Fetched before planning so a racing Ingest can only move this
-  // request to a *newer* epoch, never an older one.
-  const EpochDelta snap = engine_->delta_snapshot();
+  // mine. A fleet's composite epoch vector: the full vector keys the
+  // result cache, so an ingest to any shard strands that shard's stale
+  // entries by unreachability.
+  EpochDelta snap;
+  std::vector<uint64_t> shard_epochs;
+  if (sharded_ != nullptr) {
+    shard_epochs = sharded_->epochs();
+  } else {
+    snap = engine_->delta_snapshot();
+  }
 
-  Algorithm algorithm;
   {
     TraceSpan* plan_span = AddSpan(troot, "plan");
     SpanTimer plan_timer(plan_span);
     if (request.algorithm.has_value()) {
-      algorithm = *request.algorithm;
-      reply.plan.algorithm = algorithm;
+      reply.plan.algorithm = *request.algorithm;
       reply.plan.op = canonical.op;
       reply.plan.k = mine_options.k;
       reply.plan.reason = "forced by caller";
+    } else if (sharded_ != nullptr) {
+      // Per-shard inputs are gathered by the sharded engine under its
+      // fleet lock -- the service must never cache per-shard planners,
+      // which would dangle across a dictionary refresh.
+      reply.plan = CostPlanner::PlanAcrossShards(
+          sharded_->GatherPlannerInputs(canonical, mine_options),
+          options_.planner);
     } else {
-      reply.plan = planner_.Plan(canonical, mine_options, snap);
-      algorithm = reply.plan.algorithm;
+      reply.plan = planner_->Plan(canonical, mine_options, snap);
+    }
+    if (sharded_ != nullptr && caller_delta) {
+      reply.plan.reason +=
+          " (caller delta ignored: sharded engines apply per-shard overlays)";
     }
     plan_timer.Stop();
     SetDetail(plan_span, reply.plan.ToString());
   }
+  const Algorithm algorithm = reply.plan.algorithm;
 
-  // Caller-supplied delta overlays are external mutable state and not
-  // cacheable; the engine's own overlay is immutable per epoch, so its
-  // results cache fine under the epoch-stamped key.
-  const bool cacheable =
-      options_.enable_result_cache && mine_options.delta == nullptr;
+  const bool cacheable = options_.enable_result_cache && !caller_delta;
   std::string key;
   if (cacheable) {
     // kSmj output depends on the construction fraction of the id-ordered
-    // lists it will run on: the service's resolved fraction for cached
-    // bundles, the engine's current fraction when routed through Mine().
-    double smj_fraction = -1.0;
-    if (algorithm == Algorithm::kSmj) {
-      smj_fraction = options_.enable_word_list_cache
-                         ? smj_fraction_
-                         : engine_->smj_fraction();
-    }
-    key = ResultCacheKey(canonical, algorithm, mine_options, smj_fraction,
-                         snap.epoch);
+    // lists it runs on, so that fraction is part of the key.
+    key = ResultCacheKey(canonical, algorithm, mine_options,
+                         algorithm == Algorithm::kSmj ? smj_fraction_ : -1.0,
+                         snap.epoch, shard_epochs);
     TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
     SpanTimer cache_timer(cache_span);
     auto hit = result_cache_.Get(key);
@@ -418,10 +404,10 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     AddCounter(cache_span, "hit", hit.has_value() ? 1.0 : 0.0);
     if (hit) {
       reply.result = (*hit)->result;
+      reply.phrase_texts = (*hit)->texts;
       reply.epoch = reply.result.epoch;
       reply.result_cache_hit = true;
-      reply.latency_ms = watch.ElapsedMillis();
-      if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+      finish();
       RecordQuery(algorithm, request.algorithm.has_value(),
                   /*executed=*/false, reply.latency_ms);
       MaybeLogSlowQuery(canonical, algorithm, reply);
@@ -429,7 +415,37 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     }
   }
 
-  reply.result = Run(canonical, algorithm, mine_options, snap);
+  if (sharded_ != nullptr) {
+    ShardedMineResult mined =
+        sharded_->Mine(canonical, algorithm, mine_options);
+    reply.result = std::move(mined.result);
+    reply.phrase_texts = std::move(mined.texts);
+    // Fleet-level registry counters: threshold-exchange effectiveness plus
+    // the per-shard disk-tier split (the aggregate disk counters are
+    // accumulated by RecordQuery below).
+    exchange_pruned_total_->Add(reply.result.candidates_pruned);
+    fill_slots_total_->Add(mined.fill_slots);
+    for (std::size_t s = 0;
+         s < mined.shard_disk_io.size() && s < shard_disk_blocks_.size();
+         ++s) {
+      const DiskIoStats& io = mined.shard_disk_io[s];
+      if (io.blocks_read == 0 && io.bytes == 0) continue;
+      shard_disk_blocks_[s]->Add(io.blocks_read);
+      shard_disk_seeks_[s]->Add(io.seeks);
+      shard_disk_bytes_[s]->Add(io.bytes);
+    }
+  } else {
+    reply.result = Run(canonical, algorithm, mine_options, snap);
+    // Run stamps epoch and guarantee (bundle mines from the snapshot,
+    // engine mines inside the engine); max() keeps the label truthful if
+    // an engine-routed mine raced onto a newer epoch. A caller-supplied
+    // overlay is external state the engine knows nothing about -- its
+    // results keep epoch 0, matching the engine's own contract.
+    if (!caller_delta) {
+      reply.result.epoch = std::max(reply.result.epoch, snap.epoch);
+    }
+  }
+  reply.epoch = reply.result.epoch;
   // A non-OK mine (deadline fired mid-merge, disk tier latched an error)
   // surfaces on the reply; the partial result is accounting, not a
   // ranking, and must never be cached.
@@ -444,160 +460,12 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
     troot->children.push_back(std::move(reply.result.trace));
   }
   reply.result.trace.reset();
-  // Run stamps epoch and guarantee (bundle mines from the snapshot, engine
-  // mines inside the engine); max() keeps the label truthful if an
-  // engine-routed mine raced onto a newer epoch. A caller-supplied overlay
-  // is external state the engine knows nothing about -- its results keep
-  // epoch 0, matching the engine's own contract.
-  if (mine_options.delta == nullptr) {
-    reply.result.epoch = std::max(reply.result.epoch, snap.epoch);
-  }
-  reply.epoch = reply.result.epoch;
-  if (cacheable && reply.status.ok()) {
-    auto shared =
-        std::make_shared<const CachedResult>(CachedResult{reply.result, {}});
-    result_cache_.Put(key, shared, ResultCharge(key, *shared));
-  }
-  reply.latency_ms = watch.ElapsedMillis();
-  if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-  RecordQuery(algorithm, request.algorithm.has_value(), /*executed=*/true,
-              reply.latency_ms, reply.result.disk_io);
-  MaybeLogSlowQuery(canonical, algorithm, reply);
-  return reply;
-}
-
-ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
-  StopWatch watch;
-  ServiceReply reply;
-  if (request.options.trace) {
-    reply.trace = std::make_shared<TraceSpan>();
-    reply.trace->name = "query";
-  }
-  TraceSpan* troot = reply.trace.get();
-  const Query canonical = CanonicalizeQuery(request.query);
-  if (Status invalid = ValidateRequest(canonical, request.options);
-      !invalid.ok()) {
-    reply.status = std::move(invalid);
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
-  }
-  // Caller-supplied overlays are a single-engine concept; the sharded
-  // engine applies its own per-shard overlays internally (and would
-  // refuse an external one). Drop it and say so rather than aborting.
-  MineOptions effective = request.options;
-  const bool caller_delta = effective.delta != nullptr;
-  effective.delta = nullptr;
-  // One shared token cancels every shard leg: the first leg observing the
-  // deadline latches it, the siblings see the flag.
-  if (request.cancel != nullptr) effective.cancel = request.cancel.get();
-  if (CancelExpired(effective.cancel)) {
-    deadline_exceeded_total_->Increment();
-    reply.status =
-        Status::DeadlineExceeded("deadline expired before execution");
-    reply.latency_ms = watch.ElapsedMillis();
-    if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-    return reply;
-  }
-  CountTermQueries(canonical);
-
-  // The composite epoch vector plays the role the scalar snapshot epoch
-  // plays on the single-engine path: fetched before planning, it keys the
-  // result cache so an ingest to any shard strands that shard's stale
-  // entries by unreachability. A mine racing onto a newer shard epoch only
-  // moves the reply forward in freshness, same as the engine-routed path.
-  const std::vector<uint64_t> epochs = sharded_->epochs();
-
-  Algorithm algorithm;
-  {
-    TraceSpan* plan_span = AddSpan(troot, "plan");
-    SpanTimer plan_timer(plan_span);
-    if (request.algorithm.has_value()) {
-      algorithm = *request.algorithm;
-      reply.plan.algorithm = algorithm;
-      reply.plan.op = canonical.op;
-      reply.plan.k = effective.k;
-      reply.plan.reason = "forced by caller";
-    } else {
-      // Per-shard inputs are gathered by the sharded engine under its
-      // fleet lock -- the service must never cache per-shard planners,
-      // which would dangle across a dictionary refresh.
-      reply.plan = CostPlanner::PlanAcrossShards(
-          sharded_->GatherPlannerInputs(canonical, effective),
-          options_.planner);
-      algorithm = reply.plan.algorithm;
-    }
-    if (caller_delta) {
-      reply.plan.reason +=
-          " (caller delta ignored: sharded engines apply per-shard overlays)";
-    }
-    plan_timer.Stop();
-    SetDetail(plan_span, reply.plan.ToString());
-  }
-
-  const bool cacheable = options_.enable_result_cache && !caller_delta;
-  std::string key;
-  if (cacheable) {
-    // Sharded SMJ always merges full lists, so its fraction is fixed 1.
-    key = ResultCacheKey(canonical, algorithm, effective,
-                         algorithm == Algorithm::kSmj ? 1.0 : -1.0,
-                         /*epoch=*/0, epochs);
-    TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
-    SpanTimer cache_timer(cache_span);
-    auto hit = result_cache_.Get(key);
-    cache_timer.Stop();
-    AddCounter(cache_span, "hit", hit.has_value() ? 1.0 : 0.0);
-    if (hit) {
-      reply.result = (*hit)->result;
-      reply.phrase_texts = (*hit)->texts;
-      reply.epoch = reply.result.epoch;
-      reply.result_cache_hit = true;
-      reply.latency_ms = watch.ElapsedMillis();
-      if (troot != nullptr) troot->wall_ms = reply.latency_ms;
-      RecordQuery(algorithm, request.algorithm.has_value(),
-                  /*executed=*/false, reply.latency_ms);
-      MaybeLogSlowQuery(canonical, algorithm, reply);
-      return reply;
-    }
-  }
-
-  ShardedMineResult mined = sharded_->Mine(canonical, algorithm, effective);
-  reply.result = std::move(mined.result);
-  reply.phrase_texts = std::move(mined.texts);
-  // A cancelled scatter-gather surfaces its status here; the partial
-  // accounting it assembled is not a ranking and is never cached.
-  reply.status = reply.result.status;
-  if (reply.status.code() == StatusCode::kDeadlineExceeded) {
-    deadline_exceeded_total_->Increment();
-  }
-  reply.epoch = reply.result.epoch;
-  // Fleet-level registry counters: threshold-exchange effectiveness plus
-  // the per-shard disk-tier split (the aggregate disk counters are
-  // accumulated by RecordQuery below).
-  exchange_pruned_total_->Add(reply.result.candidates_pruned);
-  fill_slots_total_->Add(mined.fill_slots);
-  for (std::size_t s = 0;
-       s < mined.shard_disk_io.size() && s < shard_disk_blocks_.size(); ++s) {
-    const DiskIoStats& io = mined.shard_disk_io[s];
-    if (io.blocks_read == 0 && io.bytes == 0) continue;
-    shard_disk_blocks_[s]->Add(io.blocks_read);
-    shard_disk_seeks_[s]->Add(io.seeks);
-    shard_disk_bytes_[s]->Add(io.bytes);
-  }
-  // Re-root the merge's trace under the request span and strip it from
-  // the result before the cache sees it (a cached trace would replay a
-  // stale execution story on every hit).
-  if (troot != nullptr && reply.result.trace != nullptr) {
-    troot->children.push_back(std::move(reply.result.trace));
-  }
-  reply.result.trace.reset();
   if (cacheable && reply.status.ok()) {
     auto shared = std::make_shared<const CachedResult>(
         CachedResult{reply.result, reply.phrase_texts});
     result_cache_.Put(key, shared, ResultCharge(key, *shared));
   }
-  reply.latency_ms = watch.ElapsedMillis();
-  if (troot != nullptr) troot->wall_ms = reply.latency_ms;
+  finish();
   RecordQuery(algorithm, request.algorithm.has_value(), /*executed=*/true,
               reply.latency_ms, reply.result.disk_io);
   MaybeLogSlowQuery(canonical, algorithm, reply);
@@ -606,8 +474,7 @@ ServiceReply PhraseService::ExecuteSharded(const ServiceRequest& request) {
 
 MineResult PhraseService::Run(const Query& canonical, Algorithm algorithm,
                               const MineOptions& options, EpochDelta snap) {
-  if (options_.enable_word_list_cache &&
-      (algorithm == Algorithm::kNra || algorithm == Algorithm::kSmj)) {
+  if (algorithm == Algorithm::kNra || algorithm == Algorithm::kSmj) {
     // The list-based serving algorithms mine per-query bundles assembled
     // from the sharded cache: no engine mutation, no global lock. Under a
     // pending overlay the miners delta-correct each entry at read time,
@@ -885,7 +752,7 @@ void PhraseService::RecordQuery(Algorithm algorithm, bool forced,
   queries_total_->Increment();
   (forced ? forced_total_ : planned_total_)->Increment();
   if (executed) {
-    // EWMA of executed latency (alpha 1/8) for the admission cost gate;
+    // EWMA of executed latency (alpha 1/8) for the admission deadline gate;
     // the load/store race can drop an update, never corrupt the value.
     const uint64_t sample = LatencyMicros(latency_ms);
     const uint64_t old = ewma_latency_us_.load(std::memory_order_relaxed);
@@ -927,7 +794,7 @@ void PhraseService::MaybeLogSlowQuery(const Query& canonical,
   if (reply.trace != nullptr) entry.explain = reply.trace->Explain();
   std::scoped_lock lock(slow_mu_);
   slow_log_.push_back(std::move(entry));
-  while (slow_log_.size() > options_.slow_query_log_capacity) {
+  while (slow_log_.size() > kSlowQueryLogCapacity) {
     slow_log_.pop_front();
   }
 }

@@ -32,23 +32,19 @@ namespace phrasemine {
 /// Admission-control / load-shedding policy for PhraseService::Submit.
 /// Disabled by default (max_queue_depth == 0): Submit keeps the legacy
 /// behavior of blocking on the pool's bounded queue for backpressure.
+///
+/// With the gate on, a deadline-carrying request is also shed when it is
+/// already hopeless at submit time: projected wait (queue_depth x EWMA of
+/// executed latency, divided across the workers) plus the EWMA execution
+/// estimate exceeding the remaining deadline means the query would only
+/// burn pool time to return DeadlineExceeded anyway. Requests without a
+/// deadline are never deadline-gated, only depth-bounded.
 struct AdmissionOptions {
   /// Queue-depth bound: a Submit observing at least this many queued (not
   /// yet running) tasks is shed immediately with ResourceExhausted instead
-  /// of blocking. 0 disables admission control (including the cost gate).
+  /// of blocking. 0 disables admission control (including the deadline
+  /// gate).
   std::size_t max_queue_depth = 0;
-  /// Shed deadline-carrying requests that are already hopeless at submit
-  /// time: projected wait (queue_depth x EWMA of executed latency, divided
-  /// across the workers) plus the execution estimate exceeding the
-  /// remaining deadline means the query would only burn pool time to
-  /// return DeadlineExceeded anyway. Requests without a deadline are never
-  /// cost-gated, only depth-bounded.
-  bool cost_gate = true;
-  /// Converts the planner's abstract cost units (modeled entries touched)
-  /// into milliseconds for the cost gate's execution estimate; the gate
-  /// takes max(EWMA, planner_cost * cost_to_ms). 0 (default) relies on the
-  /// measured EWMA alone and skips the extra planning pass at admission.
-  double cost_to_ms = 0.0;
 };
 
 /// Sizing and policy knobs for PhraseService.
@@ -57,42 +53,25 @@ struct PhraseServiceOptions {
   PlannerOptions planner;
   /// Sharded LRU cache of full MineResults keyed by canonicalized query +
   /// algorithm + mining options.
-  std::size_t result_cache_shards = 8;
   std::size_t result_cache_bytes = 8u << 20;
   bool enable_result_cache = true;
   /// Sharded LRU cache of per-term word lists (score-ordered and
   /// id-ordered), so concurrent queries stop re-building lists and the
-  /// engine's global lock stays out of the NRA/SMJ hot path.
-  std::size_t word_list_cache_shards = 8;
+  /// engine's global lock stays out of the NRA/SMJ hot path. The cached
+  /// id-ordered (SMJ) lists are cut at the engine's smj_fraction() as of
+  /// service construction (Section 4.4.1: fixed at construction time).
   std::size_t word_list_cache_bytes = 64u << 20;
-  bool enable_word_list_cache = true;
-  /// Construction fraction of the cached id-ordered (SMJ) lists
-  /// (Section 4.4.1: fixed at construction time). Unset means "inherit
-  /// the engine's smj_fraction() at service construction", which keeps
-  /// service kSmj results identical to serial engine mines regardless of
-  /// enable_word_list_cache.
-  std::optional<double> smj_fraction;
   /// When an Ingest crosses the engine's rebuild threshold, schedule a
   /// full MiningEngine::Rebuild on this service's thread pool (one at a
   /// time; queries keep flowing while it runs). Disable to manage
   /// rebuilds externally. On the sharded path only the shards that
   /// crossed their own threshold rebuild (shard-by-shard blast radius).
   bool enable_auto_rebuild = true;
-  /// Config switch for the sharded engine: > 0 makes a service
-  /// constructed over a monolithic MiningEngine build an internal
-  /// ShardedEngine from a copy of the engine's base corpus (inheriting
-  /// the engine's build options) and route every query through the
-  /// scatter-gather path. Costs one corpus copy plus the shard index
-  /// build at construction; services that already hold a ShardedEngine
-  /// should use the ShardedEngine* constructor instead and leave this 0.
-  std::size_t num_shards = 0;
   /// Slow-query log threshold in milliseconds: queries at or above it are
   /// appended to a bounded in-memory log (PhraseService::slow_queries),
-  /// with the explain tree attached when the request was traced. 0 (the
-  /// default) disables the log.
+  /// with the explain tree attached when the request was traced; the log
+  /// keeps the 64 most recent entries. 0 (the default) disables the log.
   double slow_query_ms = 0.0;
-  /// Entries the slow-query log retains (oldest evicted first).
-  std::size_t slow_query_log_capacity = 64;
   /// Load-shedding policy (see AdmissionOptions); off by default.
   AdmissionOptions admission;
   /// Feedback-driven placement cadence: every this many served queries
@@ -211,11 +190,15 @@ struct ServiceStats {
   std::string ToString() const;
 };
 
-/// Concurrent serving front door over a MiningEngine: a bounded thread
-/// pool executes queries, the cost planner picks the algorithm per query,
-/// and two sharded LRU caches (full results, per-term word lists) absorb
-/// repeated work. This is the layer the ROADMAP's sharding/batching/async
-/// items build on.
+/// Concurrent serving front door over a MiningEngine or a ShardedEngine
+/// fleet: a bounded thread pool executes queries, the cost planner picks
+/// the algorithm per query, and two sharded LRU caches (full results,
+/// per-term word lists) absorb repeated work.
+///
+/// Both engine kinds share one request lifecycle (validation, deadline,
+/// tracing, planning, result cache, accounting); only the freshness key
+/// (scalar epoch vs composite epoch vector), the planner inputs and the
+/// mine itself differ.
 ///
 /// Queries are canonicalized (terms sorted, deduplicated) before planning
 /// and execution, so every spelling of a term set hits the same cache
@@ -242,7 +225,7 @@ struct ServiceStats {
 /// execution; when it fires, the reply resolves with status
 /// DeadlineExceeded and partial accounting instead of a ranking. With
 /// AdmissionOptions::max_queue_depth > 0, Submit sheds rather than blocks:
-/// a full admission queue -- or a deadline the cost gate projects as
+/// a full admission queue -- or a request the deadline gate projects as
 /// hopeless -- resolves the future immediately with ResourceExhausted, so
 /// overload degrades by dropping excess queries, not by growing latency
 /// unboundedly. See docs/robustness.md.
@@ -265,9 +248,6 @@ class PhraseService {
 
   /// `engine` must outlive the service. The engine may be shared with
   /// other direct callers as long as they respect its threading contract.
-  /// With options.num_shards > 0 the service additionally builds an
-  /// internal ShardedEngine from the engine's base corpus and serves every
-  /// query through it (see PhraseServiceOptions::num_shards).
   explicit PhraseService(MiningEngine* engine,
                          PhraseServiceOptions options = {});
 
@@ -400,8 +380,8 @@ class PhraseService {
     return (generation << 33) | (static_cast<uint64_t>(term) << 1) | 1;
   }
 
+  /// The request lifecycle for both engine kinds.
   ServiceReply Execute(const ServiceRequest& request);
-  ServiceReply ExecuteSharded(const ServiceRequest& request);
   /// Admission gate consulted by Submit when admission control is enabled
   /// (max_queue_depth > 0): non-OK (ResourceExhausted) means shed -- the
   /// caller resolves the future with it without ever queueing the task.
@@ -412,9 +392,9 @@ class PhraseService {
   /// engine's own semantics.
   static Status ValidateRequest(const Query& canonical,
                                 const MineOptions& options);
-  /// `snap` is taken by value: Run refreshes it (and retries the bundle
-  /// assembly) when a background rebuild changes the structure generation
-  /// mid-request.
+  /// The single-engine mine. `snap` is taken by value: Run refreshes it
+  /// (and retries the bundle assembly) when a background rebuild changes
+  /// the structure generation mid-request.
   MineResult Run(const Query& canonical, Algorithm algorithm,
                  const MineOptions& options, EpochDelta snap);
   /// One word-list cache entry: the shared AoS run plus, for id-ordered
@@ -447,19 +427,22 @@ class PhraseService {
   void MaybeLogSlowQuery(const Query& canonical, Algorithm algorithm,
                          const ServiceReply& reply);
 
-  MiningEngine* engine_;
+  /// Exactly one of engine_ and sharded_ is set. The fleet path keeps no
+  /// pointer into its shards (a dictionary refresh replaces them);
+  /// engine() resolves shard 0 at call time.
+  MiningEngine* engine_ = nullptr;
+  ShardedEngine* sharded_ = nullptr;
   PhraseServiceOptions options_;
   /// Declared before the pool and caches: they are constructed with (and
   /// publish into) this registry, and metric handles must outlive them.
   MetricsRegistry registry_;
-  /// Sharded serving target: the owned reshard (num_shards switch), the
-  /// caller's ShardedEngine, or null for the single-engine path.
-  std::unique_ptr<ShardedEngine> owned_sharded_;
-  ShardedEngine* sharded_ = nullptr;
-  /// Resolved SMJ construction fraction (options_.smj_fraction or the
-  /// engine's fraction at construction).
+  /// SMJ construction fraction of the cached id-ordered lists: the
+  /// engine's fraction at construction, or 1 on the fleet path (sharded
+  /// SMJ always merges full lists).
   double smj_fraction_;
-  CostPlanner planner_;
+  /// Single-engine planner; the fleet path plans from per-shard inputs
+  /// the sharded engine gathers under its fleet lock.
+  std::optional<CostPlanner> planner_;
   ShardedLruCache<std::string, std::shared_ptr<const CachedResult>>
       result_cache_;
   ShardedLruCache<uint64_t, CachedWordList> word_list_cache_;
@@ -475,8 +458,8 @@ class PhraseService {
   Counter* slow_queries_total_ = nullptr;
   Counter* placement_refreshes_total_ = nullptr;
   /// Robustness metrics: service_shed_total counts requests resolved with
-  /// ResourceExhausted before execution (admission depth bound, cost gate,
-  /// pool rejection storms); service_deadline_exceeded_total counts
+  /// ResourceExhausted before execution (admission depth bound, deadline
+  /// gate, pool rejection storms); service_deadline_exceeded_total counts
   /// replies that resolved DeadlineExceeded; the admission-depth gauge
   /// samples the pool queue depth each time the gate runs (its Max() is
   /// the high-water mark the shed decisions actually saw).
@@ -491,7 +474,7 @@ class PhraseService {
   Counter* fill_slots_total_ = nullptr;
   /// Query latency in microseconds (log-scale; quantiles in stats()).
   Histogram* latency_us_ = nullptr;
-  /// Per-shard disk-tier counters, indexed by shard (sharded path only).
+  /// Per-shard disk-tier counters, indexed by shard (fleet path only).
   std::vector<Counter*> shard_disk_blocks_;
   std::vector<Counter*> shard_disk_seeks_;
   std::vector<Counter*> shard_disk_bytes_;
@@ -509,11 +492,11 @@ class PhraseService {
 
   /// EWMA of executed-query latency in microseconds (alpha = 1/8,
   /// relaxed-atomic; races lose an update, never corrupt). Feeds the
-  /// admission cost gate's wait/execute projection; 0 until the first
+  /// admission gate's wait/execute projection; 0 until the first
   /// executed query completes (the gate then only depth-bounds).
   std::atomic<uint64_t> ewma_latency_us_{0};
 
-  /// Bounded slow-query log (options_.slow_query_ms threshold).
+  /// Bounded slow-query log (options_.slow_query_ms threshold, 64 entries).
   mutable std::mutex slow_mu_;
   std::deque<SlowQueryEntry> slow_log_;
 
@@ -523,8 +506,6 @@ class PhraseService {
 
   /// Standing-query manager, created under subscriptions_mu_ by the first
   /// Subscribe and read lock-free through the atomic pointer elsewhere.
-  /// Declared after owned_sharded_ so destruction detaches its engine
-  /// listener and joins its worker while the engines are still alive.
   mutable std::mutex subscriptions_mu_;
   std::unique_ptr<SubscriptionManager> subscriptions_;
   std::atomic<SubscriptionManager*> subscriptions_ptr_{nullptr};

@@ -486,9 +486,8 @@ ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
   // One disk-tier configuration: the fleet-level switches are merged
   // with any tier declared on the embedded engine options (set-wins, so
   // a tier configured on either surface survives), then written back to
-  // both so every consumer of options_.engine -- Build,
-  // RefreshDictionary, the service's reshard path -- sees the same
-  // per-shard tier.
+  // both so every consumer of options_.engine -- Build and
+  // RefreshDictionary -- sees the same per-shard tier.
   options.disk_backed = options.disk_backed || options.engine.disk_backed;
   if (options.disk_budget_per_shard == 0) {
     options.disk_budget_per_shard = options.engine.disk_resident_budget;

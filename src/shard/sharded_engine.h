@@ -79,8 +79,8 @@ struct ShardedEngineOptions {
   /// LoadFromFiles reopens the whole fleet from the mapped files. Any
   /// persist_path set on the embedded `engine` options is cleared at Build
   /// -- per-shard paths always derive from this prefix, so N shards can
-  /// never race on one file (the service reshard path inherits engine
-  /// options from a monolith, where that field addresses a single file).
+  /// never race on one file (engine options copied from a monolith carry
+  /// a persist_path that addresses a single file).
   std::string persist_path;
   /// Test seam: maps a global document id to its owning shard (second
   /// argument is num_shards). Defaults to a SplitMix64 hash of the id.

@@ -145,27 +145,39 @@ TEST(DiskTierTest, ResidentReadsChargeNothingSpilledReadsCharge) {
   EXPECT_EQ(tier.device().stats().bytes_read, kListEntryBytes);
 }
 
-TEST(DiskTierTest, BudgetZeroMatchesLegacyAllSpillConstruction) {
+TEST(DiskTierTest, BudgetZeroSpillsEveryList) {
   MiningEngine engine = MakeSmallEngine();
   const std::vector<TermId> terms = BuildAllLists(engine);
 
-  DiskResidentLists legacy(engine.word_lists(), engine.phrase_file());
   DiskResidentLists tier(engine.word_lists(), engine.phrase_file(),
                          engine.inverted(), DiskTierOptions{});
-  EXPECT_EQ(legacy.num_spilled(), tier.num_spilled());
-  EXPECT_EQ(legacy.spilled_bytes(), tier.spilled_bytes());
+  // Budget 0 pins nothing: every non-empty list gets its own device range.
+  std::size_t non_empty = 0;
+  uint64_t list_bytes = 0;
+  for (TermId t : terms) {
+    const std::size_t entries = engine.word_lists().list(t).size();
+    if (entries == 0) continue;
+    ++non_empty;
+    list_bytes += entries * kListEntryBytes;
+  }
+  ASSERT_GT(non_empty, 0u);
+  EXPECT_EQ(tier.num_spilled(), non_empty);
+  EXPECT_EQ(tier.spilled_bytes(), list_bytes);
   EXPECT_EQ(tier.num_resident(), 0u);
+  EXPECT_EQ(tier.resident_bytes(), 0u);
 
-  // Same read pattern, same charge.
+  // Every read is charged: each first touch of a list is a device fetch.
+  uint64_t reads = 0;
   for (TermId t : terms) {
     if (engine.word_lists().list(t).empty()) continue;
-    legacy.ChargeListRead(t, 0);
+    EXPECT_FALSE(tier.resident(t));
+    const double cost_before = tier.device().stats().cost_ms;
     tier.ChargeListRead(t, 0);
+    ++reads;
+    EXPECT_GT(tier.device().stats().cost_ms, cost_before) << "term " << t;
   }
-  EXPECT_DOUBLE_EQ(legacy.device().stats().cost_ms,
-                   tier.device().stats().cost_ms);
-  EXPECT_EQ(legacy.device().stats().page_requests,
-            tier.device().stats().page_requests);
+  EXPECT_EQ(tier.device().stats().page_requests, reads);
+  EXPECT_EQ(tier.device().stats().bytes_read, reads * kListEntryBytes);
 }
 
 TEST(DiskTierTest, EngineResultsIdenticalAcrossBudgets) {

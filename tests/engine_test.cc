@@ -71,15 +71,15 @@ TEST(EngineTest, AlgorithmNamesStable) {
 }
 
 TEST(EngineTest, SnapshotRoundTripPreservesResults) {
-  const std::string dir = ::testing::TempDir();
+  const std::string path = ::testing::TempDir() + "/engine.pmidx";
   MiningEngine original = testing::MakeTinyEngine();
   auto q = original.ParseQuery("query optimization", QueryOperator::kAnd);
   ASSERT_TRUE(q.ok());
   // Materialize word lists so the snapshot carries them.
   MineResult before = original.Mine(q.value(), Algorithm::kSmj);
-  ASSERT_TRUE(original.SaveToDirectory(dir).ok());
+  ASSERT_TRUE(original.SaveToFile(path).ok());
 
-  auto loaded = MiningEngine::LoadFromDirectory(dir);
+  auto loaded = MiningEngine::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
   MiningEngine& engine = loaded.value();
   EXPECT_EQ(engine.corpus().size(), original.corpus().size());
@@ -97,33 +97,31 @@ TEST(EngineTest, SnapshotRoundTripPreservesResults) {
     EXPECT_EQ(testing::Ids(from_loaded), testing::Ids(from_original))
         << AlgorithmName(a);
   }
-  std::remove((dir + "/engine.pmidx").c_str());
+  std::remove(path.c_str());
 }
 
 TEST(EngineTest, LoadMissingSnapshotFails) {
-  auto loaded = MiningEngine::LoadFromDirectory("/nonexistent/dir");
+  auto loaded = MiningEngine::LoadFromFile("/nonexistent/dir/engine.pmidx");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
 TEST(EngineTest, LoadRejectsGarbageFile) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/engine.pmidx";
+  const std::string path = ::testing::TempDir() + "/engine.pmidx";
   {
     BinaryWriter w;
     w.PutU32(0xDEADBEEF);  // wrong magic
     for (int i = 0; i < 60; ++i) w.PutU8(0);  // past the minimum file size
     ASSERT_TRUE(w.WriteToFile(path).ok());
   }
-  auto loaded = MiningEngine::LoadFromDirectory(dir);
+  auto loaded = MiningEngine::LoadFromFile(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(EngineTest, LoadRejectsWrongVersion) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/engine.pmidx";
+  const std::string path = ::testing::TempDir() + "/engine.pmidx";
   {
     BinaryWriter w;
     w.PutU32(kIndexFileMagic);
@@ -131,17 +129,16 @@ TEST(EngineTest, LoadRejectsWrongVersion) {
     for (int i = 0; i < 60; ++i) w.PutU8(0);
     ASSERT_TRUE(w.WriteToFile(path).ok());
   }
-  auto loaded = MiningEngine::LoadFromDirectory(dir);
+  auto loaded = MiningEngine::LoadFromFile(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(EngineTest, TruncatedSnapshotFailsCleanly) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/engine.pmidx";
+  const std::string path = ::testing::TempDir() + "/engine.pmidx";
   MiningEngine original = testing::MakeTinyEngine();
-  ASSERT_TRUE(original.SaveToDirectory(dir).ok());
+  ASSERT_TRUE(original.SaveToFile(path).ok());
   // Truncate the snapshot to its first half and expect a clean error.
   auto reader = BinaryReader::FromFile(path);
   ASSERT_TRUE(reader.ok());
@@ -153,7 +150,7 @@ TEST(EngineTest, TruncatedSnapshotFailsCleanly) {
     w.PutRaw(half.data(), half.size());
     ASSERT_TRUE(w.WriteToFile(path).ok());
   }
-  auto loaded = MiningEngine::LoadFromDirectory(dir);
+  auto loaded = MiningEngine::LoadFromFile(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }

@@ -3,8 +3,10 @@
 // repeats, counters add up, and shutdown degrades gracefully.
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "service/cache.h"
 #include "service/service.h"
+#include "shard/sharded_engine.h"
 #include "test_util.h"
 #include "testing/failpoint.h"
 
@@ -52,6 +55,40 @@ std::vector<Query> MakeWorkload(const MiningEngine& engine) {
     workload.push_back(std::move(q));
   }
   return workload;
+}
+
+/// Runs `body` against a service over the tiny monolith, then against a
+/// service over a 2-shard fleet of the same corpus and engine options, so
+/// one lifecycle check covers both engine kinds.
+void ForEachEngineKind(const PhraseServiceOptions& options,
+                       const std::function<void(PhraseService&)>& body) {
+  {
+    SCOPED_TRACE("monolith");
+    MiningEngine engine = testing::MakeTinyEngine();
+    PhraseService service(&engine, options);
+    body(service);
+  }
+  {
+    SCOPED_TRACE("fleet");
+    ShardedEngineOptions fleet_options;
+    fleet_options.num_shards = 2;
+    fleet_options.engine.extractor.min_df = 2;  // as in MakeTinyEngine
+    fleet_options.engine.extractor.max_phrase_len = 4;
+    ShardedEngine fleet = ShardedEngine::Build(testing::MakeTinyCorpus(),
+                                               std::move(fleet_options));
+    PhraseService service(&fleet, options);
+    body(service);
+  }
+}
+
+/// Parses `text` against whichever engine kind backs `service`.
+Query Parse(const PhraseService& service, std::string_view text,
+            QueryOperator op) {
+  Result<Query> query = service.sharded() != nullptr
+                            ? service.sharded()->ParseQuery(text, op)
+                            : service.engine().ParseQuery(text, op);
+  EXPECT_TRUE(query.ok()) << text;
+  return query.ok() ? std::move(query).value() : Query{};
 }
 
 TEST(ServiceTest, ConcurrentResultsMatchSerialEngine) {
@@ -134,37 +171,43 @@ TEST(ServiceTest, PlannedQueriesMatchSerialEngineOnPlannedAlgorithm) {
 }
 
 TEST(ServiceTest, ResultCacheServesRepeats) {
-  MiningEngine engine = testing::MakeTinyEngine();
   PhraseServiceOptions options;
   options.pool.num_threads = 2;
-  PhraseService service(&engine, options);
+  ForEachEngineKind(options, [](PhraseService& service) {
+    const Query q =
+        Parse(service, "query optimization", QueryOperator::kAnd);
+    ServiceRequest request{q, MineOptions{}, Algorithm::kNra};
 
-  auto q = engine.ParseQuery("query optimization", QueryOperator::kAnd);
-  ASSERT_TRUE(q.ok());
-  ServiceRequest request{q.value(), MineOptions{}, Algorithm::kNra};
+    ServiceReply first = service.MineSync(request);
+    EXPECT_FALSE(first.result_cache_hit);
+    ServiceReply second = service.MineSync(request);
+    EXPECT_TRUE(second.result_cache_hit);
+    ExpectSameResults(first.result, second.result, "cached repeat");
+    EXPECT_EQ(first.phrase_texts, second.phrase_texts);
 
-  ServiceReply first = service.MineSync(request);
-  EXPECT_FALSE(first.result_cache_hit);
-  ServiceReply second = service.MineSync(request);
-  EXPECT_TRUE(second.result_cache_hit);
-  ExpectSameResults(first.result, second.result, "cached repeat");
+    // A spelling with shuffled/duplicated terms hits the same entry.
+    ServiceRequest shuffled = request;
+    shuffled.query.terms = {request.query.terms[1], request.query.terms[0],
+                            request.query.terms[0]};
+    ServiceReply third = service.MineSync(shuffled);
+    EXPECT_TRUE(third.result_cache_hit);
+    ExpectSameResults(first.result, third.result, "canonicalized repeat");
+    EXPECT_EQ(first.phrase_texts, third.phrase_texts);
 
-  // A spelling with shuffled/duplicated terms hits the same entry.
-  ServiceRequest shuffled = request;
-  shuffled.query.terms = {request.query.terms[1], request.query.terms[0],
-                          request.query.terms[0]};
-  ServiceReply third = service.MineSync(shuffled);
-  EXPECT_TRUE(third.result_cache_hit);
-  ExpectSameResults(first.result, third.result, "canonicalized repeat");
-
-  ServiceStats stats = service.stats();
-  EXPECT_GE(stats.result_cache.hits, 2u);
-  EXPECT_GE(stats.word_list_cache.hits + stats.word_list_cache.misses, 1u);
-  EXPECT_GT(stats.p50_latency_ms, 0.0);
-  EXPECT_GE(stats.p95_latency_ms, stats.p50_latency_ms);
-  // per_algorithm attributes compute: the two cache hits don't count.
-  EXPECT_EQ(stats.per_algorithm[static_cast<int>(Algorithm::kNra)], 1u);
-  EXPECT_EQ(stats.queries, 3u);
+    ServiceStats stats = service.stats();
+    EXPECT_GE(stats.result_cache.hits, 2u);
+    // The single engine mines NRA from the service's word-list cache; a
+    // fleet's shard engines keep their own lists.
+    if (service.sharded() == nullptr) {
+      EXPECT_GE(stats.word_list_cache.hits + stats.word_list_cache.misses,
+                1u);
+    }
+    EXPECT_GT(stats.p50_latency_ms, 0.0);
+    EXPECT_GE(stats.p95_latency_ms, stats.p50_latency_ms);
+    // per_algorithm attributes compute: the two cache hits don't count.
+    EXPECT_EQ(stats.per_algorithm[static_cast<int>(Algorithm::kNra)], 1u);
+    EXPECT_EQ(stats.queries, 3u);
+  });
 }
 
 TEST(ServiceTest, SmjFractionInheritsFromEngine) {
@@ -243,38 +286,112 @@ TEST(ServiceTest, SubmitAfterShutdownResolvesUnavailable) {
 }
 
 TEST(ServiceTest, InvalidRequestsResolveWithTypedStatus) {
-  MiningEngine engine = testing::MakeTinyEngine();
-  PhraseService service(&engine, {});
-  auto q = engine.ParseQuery("db", QueryOperator::kAnd);
-  ASSERT_TRUE(q.ok());
+  ForEachEngineKind({}, [](PhraseService& service) {
+    const Query q = Parse(service, "db", QueryOperator::kAnd);
 
-  // k == 0 is a malformed request at the service boundary (the engine
-  // itself tolerates it; the front door refuses it).
-  ServiceReply r = service.MineSync(
-      ServiceRequest{q.value(), MineOptions{.k = 0}, Algorithm::kGm});
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(r.result.phrases.empty());
+    // k == 0 is a malformed request at the service boundary (the engine
+    // itself tolerates it; the front door refuses it).
+    ServiceReply r = service.MineSync(
+        ServiceRequest{q, MineOptions{.k = 0}, Algorithm::kGm});
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(r.result.phrases.empty());
 
-  // A term-less query.
-  Query empty;
-  empty.op = QueryOperator::kAnd;
-  r = service.MineSync(ServiceRequest{empty, MineOptions{}, Algorithm::kGm});
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    // A term-less query.
+    Query empty;
+    empty.op = QueryOperator::kAnd;
+    r = service.MineSync(ServiceRequest{empty, MineOptions{}, Algorithm::kGm});
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
 
-  // Unknown terms are NOT an error: empty lists mine an empty ranking
-  // with status OK, matching the engine's semantics.
-  Query unknown;
-  unknown.op = QueryOperator::kAnd;
-  unknown.terms = {static_cast<TermId>(1u << 20)};
-  r = service.MineSync(ServiceRequest{unknown, MineOptions{}, Algorithm::kGm});
-  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.result.phrases.empty());
+    // Unknown terms are NOT an error: empty lists mine an empty ranking
+    // with status OK, matching the engine's semantics.
+    Query unknown;
+    unknown.op = QueryOperator::kAnd;
+    unknown.terms = {static_cast<TermId>(1u << 20)};
+    r = service.MineSync(
+        ServiceRequest{unknown, MineOptions{}, Algorithm::kGm});
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.result.phrases.empty());
 
-  // The typed error paths short-circuit before planning/execution, so the
-  // executed-query counters stay clean.
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.deadline_exceeded, 0u);
+    // The typed error paths short-circuit before planning/execution, so
+    // the executed-query counters stay clean.
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_EQ(stats.deadline_exceeded, 0u);
+  });
+}
+
+TEST(ServiceTest, SlowQueryLogThresholdSuffixEvictionAndExplain) {
+  // Threshold: off by default, and a threshold above every latency logs
+  // nothing.
+  ForEachEngineKind({}, [](PhraseService& service) {
+    (void)service.MineSync(ServiceRequest{
+        Parse(service, "db", QueryOperator::kAnd), MineOptions{},
+        Algorithm::kGm});
+    EXPECT_TRUE(service.slow_queries().empty());
+  });
+  PhraseServiceOptions unreachable;
+  unreachable.slow_query_ms = 1e9;
+  ForEachEngineKind(unreachable, [](PhraseService& service) {
+    (void)service.MineSync(ServiceRequest{
+        Parse(service, "db", QueryOperator::kAnd), MineOptions{},
+        Algorithm::kGm});
+    EXPECT_TRUE(service.slow_queries().empty());
+    EXPECT_EQ(
+        service.metrics_snapshot().counter("service_slow_queries_total"), 0u);
+  });
+
+  // A threshold below every latency logs every query.
+  PhraseServiceOptions everything;
+  everything.slow_query_ms = 1e-9;
+  ForEachEngineKind(everything, [](PhraseService& service) {
+    const Query q =
+        Parse(service, "query optimization", QueryOperator::kAnd);
+    MineOptions untraced;
+    untraced.k = 1;
+    MineOptions traced = untraced;
+    traced.trace = true;
+    const ServiceReply miss =
+        service.MineSync(ServiceRequest{q, untraced, Algorithm::kNra});
+    const ServiceReply hit =
+        service.MineSync(ServiceRequest{q, traced, Algorithm::kNra});
+    ASSERT_FALSE(miss.result_cache_hit);
+    ASSERT_TRUE(hit.result_cache_hit);
+    ASSERT_NE(hit.trace, nullptr);
+
+    std::vector<PhraseService::SlowQueryEntry> log = service.slow_queries();
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0].description.rfind("NRA AND k=1 terms=[", 0), 0u)
+        << log[0].description;
+    EXPECT_EQ(log[0].description.find("(cache hit)"), std::string::npos);
+    EXPECT_TRUE(log[1].description.ends_with("] (cache hit)"))
+        << log[1].description;
+    for (const PhraseService::SlowQueryEntry& entry : log) {
+      EXPECT_GE(entry.latency_ms, 1e-9);
+    }
+    // The explain tree rides along only when the request was traced.
+    EXPECT_TRUE(log[0].explain.empty());
+    EXPECT_EQ(log[1].explain, hit.trace->Explain());
+    EXPECT_NE(log[1].explain.find("cache_lookup"), std::string::npos);
+
+    // The log keeps the 64 most recent entries, oldest first: after 70
+    // more queries (k = 2..71) the first 8 of the 72 logged are gone.
+    for (std::size_t k = 2; k <= 71; ++k) {
+      MineOptions options;
+      options.k = k;
+      (void)service.MineSync(ServiceRequest{q, options, Algorithm::kGm});
+    }
+    log = service.slow_queries();
+    ASSERT_EQ(log.size(), 64u);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(log[i].description.rfind(
+                    "GM AND k=" + std::to_string(i + 8) + " terms=[", 0),
+                0u)
+          << log[i].description;
+    }
+    EXPECT_EQ(
+        service.metrics_snapshot().counter("service_slow_queries_total"),
+        72u);
+  });
 }
 
 TEST(ServiceTest, AdmissionShedsHopelessDeadline) {
@@ -286,7 +403,7 @@ TEST(ServiceTest, AdmissionShedsHopelessDeadline) {
   ASSERT_TRUE(q.ok());
 
   // A deadline already in the past is the degenerate "hopeless" query:
-  // the cost gate sheds it at admission without ever queueing work.
+  // the deadline gate sheds it at admission without ever queueing work.
   ServiceRequest request{q.value(), MineOptions{}, Algorithm::kGm};
   request.cancel =
       std::make_shared<CancelToken>(CancelToken::AfterMillis(-1.0));

@@ -1,6 +1,4 @@
 #include <chrono>
-#include <map>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,7 +14,6 @@ namespace phrasemine {
 namespace {
 
 using testing::MakeSmallSyntheticCorpus;
-using testing::MakeTinyCorpus;
 
 ShardedEngine BuildSharded(std::size_t num_shards, std::size_t num_docs,
                            uint32_t min_df = 2) {
@@ -136,43 +133,6 @@ TEST(ShardedServiceTest, IngestMovesCompositeEpochAndInvalidatesByKey) {
   EXPECT_FALSE(refreshed.result_cache_hit);
   EXPECT_EQ(refreshed.result.shard_epochs, after);
   EXPECT_GE(refreshed.epoch, stats.epoch);
-}
-
-TEST(ShardedServiceTest, NumShardsConfigSwitchReshardsMonolith) {
-  MiningEngineOptions engine_options;
-  engine_options.extractor.min_df = 2;
-  MiningEngine engine = MiningEngine::Build(MakeTinyCorpus(), engine_options);
-
-  PhraseServiceOptions options;
-  options.pool.num_threads = 2;
-  options.num_shards = 3;
-  PhraseService service(&engine, options);
-  ASSERT_NE(service.sharded(), nullptr);
-  EXPECT_EQ(service.sharded()->num_shards(), 3u);
-
-  const Query query =
-      engine.ParseQuery("query optimization", QueryOperator::kAnd).value();
-  const MineResult mono = engine.Mine(query, Algorithm::kExact,
-                                      MineOptions{.k = 5});
-  const ServiceReply reply = service.MineSync(
-      ServiceRequest{query, MineOptions{.k = 5}, Algorithm::kExact});
-  ASSERT_EQ(reply.result.phrases.size(), mono.phrases.size());
-  // Scores must match rank by rank; texts only up to equal-score tie
-  // order (the monolithic collector breaks ties by PhraseId, the merge
-  // by text), so each reply text must score what its rank says.
-  const MineResult mono_all = engine.Mine(query, Algorithm::kExact,
-                                          MineOptions{.k = 100000});
-  std::map<std::string, std::set<double>> truth;
-  for (const MinedPhrase& p : mono_all.phrases) {
-    truth[engine.PhraseText(p.phrase)].insert(p.score);
-  }
-  for (std::size_t i = 0; i < mono.phrases.size(); ++i) {
-    EXPECT_EQ(reply.result.phrases[i].score, mono.phrases[i].score);
-    const auto it = truth.find(reply.phrase_texts[i]);
-    ASSERT_NE(it, truth.end()) << reply.phrase_texts[i];
-    EXPECT_TRUE(it->second.contains(reply.result.phrases[i].score))
-        << reply.phrase_texts[i];
-  }
 }
 
 TEST(ShardedServiceTest, SurvivesDictionaryRefresh) {

@@ -359,17 +359,20 @@ TEST(SubscriptionServiceTest, WrappersRouteThroughTheLazyManager) {
 }
 
 TEST(SubscriptionServiceTest, ShardedServiceServesSubscriptions) {
-  // The num_shards config switch: the lazily created manager must target
-  // the internal fleet, not the seed engine the service was handed.
-  MiningEngine engine = testing::MakeSmallEngine(120);
+  // A fleet-backed service: the lazily created manager must target the
+  // fleet, not a single shard.
+  Corpus corpus = testing::MakeSmallSyntheticCorpus(120);
+  const std::string term =
+      corpus.vocab().TermText(corpus.doc(0).tokens[0]);
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.engine.extractor.min_df = 5;  // MakeSmallEngine's options
+  ShardedEngine sharded =
+      ShardedEngine::Build(std::move(corpus), std::move(sharded_options));
   PhraseServiceOptions options;
   options.pool.num_threads = 2;
-  options.num_shards = 2;
   options.enable_auto_rebuild = false;
-  PhraseService service(&engine, options);
-
-  const std::string term =
-      engine.corpus().vocab().TermText(engine.corpus().doc(0).tokens[0]);
+  PhraseService service(&sharded, options);
   SubscriptionRequest request;
   request.terms = {term};
   request.k = 4;
