@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "index/forward_index.h"
@@ -100,14 +101,14 @@ std::vector<ListEntry> DeltaIndex::ExtraIdOrderedEntries(
   return extras;
 }
 
-SharedWordList DeltaIndex::OverlayIdOrdered(TermId term,
-                                            SharedWordList base) const {
-  if (base == nullptr) {
-    base = std::make_shared<const std::vector<ListEntry>>();
+void DeltaIndex::InsertOverlaid(TermId term, WordIdOrderedLists::Record record,
+                                WordIdOrderedLists* bundle) const {
+  std::vector<ListEntry> extras = ExtraIdOrderedEntries(term, *record.entries);
+  if (!extras.empty()) {
+    record.entries = WordIdOrderedLists::MergeById(*record.entries, extras);
+    record.soa = nullptr;
   }
-  std::vector<ListEntry> extras = ExtraIdOrderedEntries(term, *base);
-  if (extras.empty()) return base;
-  return WordIdOrderedLists::MergeById(*base, extras);
+  bundle->Insert(term, std::move(record.entries), std::move(record.soa));
 }
 
 }  // namespace phrasemine

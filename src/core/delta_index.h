@@ -90,13 +90,14 @@ class DeltaIndex {
   std::vector<ListEntry> ExtraIdOrderedEntries(
       TermId w, std::span<const ListEntry> id_ordered_base) const;
 
-  /// Overlays this delta onto one stored id-ordered list: the base entries
-  /// plus the delta-only extras for `term`. `base` may be null (term has
-  /// no stored list); the result is never null, and is `base` itself when
-  /// the overlay adds nothing. Shared by MiningEngine's and
-  /// PhraseService's SMJ bundle assembly so the exactness-critical merge
-  /// has exactly one implementation.
-  SharedWordList OverlayIdOrdered(TermId term, SharedWordList base) const;
+  /// Adds `term` to a per-query SMJ bundle: its stored record overlaid
+  /// with the delta-only extras for the term (without them SMJ could not
+  /// stay exact under inserts, Section 4.5.1). When the overlay adds
+  /// nothing the record goes in as is, SoA view included; otherwise the
+  /// bundle re-packs the overlaid run. The one bundle assembly behind
+  /// MiningEngine's and PhraseService's delta-corrected SMJ mines.
+  void InsertOverlaid(TermId term, WordIdOrderedLists::Record record,
+                      WordIdOrderedLists* bundle) const;
 
   /// Number of Add/Remove calls absorbed since construction; drives the
   /// "flush and rebuild offline" policy.

@@ -131,7 +131,7 @@ MiningEngine MiningEngine::Build(Corpus corpus, Options options) {
   engine.phrase_file_ =
       PhraseListFile::Build(engine.dict_, engine.corpus_.vocab());
   engine.word_lists_ = std::make_unique<WordScoreLists>();
-  engine.smj_fraction_ = options.default_smj_fraction;
+  engine.id_lists_ = WordIdOrderedLists(options.default_smj_fraction);
   if (!options.persist_path.empty()) {
     engine.persist_status_ = engine.SaveToFile(options.persist_path);
   }
@@ -248,7 +248,7 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
       file->section_offset(IndexSection::kPhraseListFile) +
       PhraseListFile::kSerializedSlotsOffset;
   engine.index_file_ = std::move(file);
-  engine.smj_fraction_ = options.default_smj_fraction;
+  engine.id_lists_ = WordIdOrderedLists(options.default_smj_fraction);
   return engine;
 }
 
@@ -302,7 +302,9 @@ void MiningEngine::EnsureWordLists(std::span<const TermId> terms) {
       if (generation_ != generation) continue;
       const std::size_t before = word_lists_->num_terms();
       word_lists_->Merge(std::move(built));
-      if (word_lists_->num_terms() != before) InvalidateDerivedLists();
+      // The disk tier is laid out over the whole built-list set; the
+      // id-ordered records are per term and stay valid.
+      if (word_lists_->num_terms() != before) disk_lists_.reset();
       return;
     }
   }
@@ -317,25 +319,46 @@ void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
 }
 
 void MiningEngine::EnsureIdOrderedLists(std::span<const TermId> terms) {
-  EnsureWordLists(terms);
-  {
-    // Fast path: after the first build the cache usually exists, and the
-    // sharded scatter/fill rounds call this per shard per query -- an
-    // unconditional exclusive lock here would serialize them against
-    // every concurrent mine holding the shared lock.
-    std::shared_lock lock(sync_->lists_mu);
-    if (id_lists_ != nullptr) return;
+  // The EnsureWordLists loop one level up: find the missing records
+  // under the shared lock, build them without blocking anyone, insert
+  // under the exclusive lock unless a rebuild or a fraction change moved
+  // the store on meanwhile. The sharded scatter/fill rounds call this per
+  // shard per query, so the common all-present case never takes the
+  // exclusive lock.
+  for (;;) {
+    EnsureWordLists(terms);
+    uint64_t generation;
+    double fraction;
+    std::vector<std::pair<TermId, SharedWordList>> missing;
+    {
+      std::shared_lock lock(sync_->lists_mu);
+      generation = generation_;
+      fraction = id_lists_.fraction();
+      for (TermId t : terms) {
+        if (!id_lists_.Has(t)) missing.emplace_back(t, word_lists_->shared(t));
+      }
+    }
+    if (missing.empty()) return;
+    std::vector<WordIdOrderedLists::Record> built;
+    built.reserve(missing.size());
+    for (const auto& [t, score] : missing) {
+      // Absent only if a rebuild swapped the score lists in between.
+      if (score == nullptr) break;
+      built.push_back(WordIdOrderedLists::BuildRecord(*score, fraction));
+    }
+    if (built.size() != missing.size()) continue;
+    std::unique_lock lock(sync_->lists_mu);
+    if (generation_ != generation || id_lists_.fraction() != fraction) {
+      continue;
+    }
+    // Two threads racing on a term both build it; Insert keeps the first
+    // (records for a term are identical by construction).
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      id_lists_.Insert(missing[i].first, std::move(built[i].entries),
+                       std::move(built[i].soa));
+    }
+    return;
   }
-  std::unique_lock lock(sync_->lists_mu);
-  if (id_lists_ == nullptr) {
-    id_lists_ = std::make_unique<WordIdOrderedLists>(
-        WordIdOrderedLists::Build(*word_lists_, smj_fraction_));
-  }
-}
-
-void MiningEngine::InvalidateDerivedLists() {
-  id_lists_.reset();
-  disk_lists_.reset();
 }
 
 DiskResidentLists& MiningEngine::EnsureDiskTierLocked() {
@@ -358,8 +381,7 @@ DiskResidentLists& MiningEngine::EnsureDiskTierLocked() {
 
 void MiningEngine::SetSmjFraction(double fraction) {
   std::unique_lock lock(sync_->lists_mu);
-  smj_fraction_ = fraction;
-  id_lists_.reset();
+  id_lists_ = WordIdOrderedLists(fraction);
 }
 
 void MiningEngine::SetDiskResidentBudget(uint64_t budget_bytes) {
@@ -411,35 +433,25 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
   // Acquire the shared structure lock for the whole mine, (re)building the
   // inputs the algorithm needs first. The loop restarts when a concurrent
   // rebuild swaps the structures between the build step and the lock.
+  const bool needs_records = algorithm == Algorithm::kSmj;
   std::shared_lock lock(sync_->lists_mu, std::defer_lock);
   for (;;) {
-    if (needs_lists) EnsureWordLists(query.terms);
+    if (needs_records) {
+      EnsureIdOrderedLists(query.terms);
+    } else if (needs_lists) {
+      EnsureWordLists(query.terms);
+    }
     lock.lock();
-    if (needs_lists) {
-      bool have_all = true;
-      for (TermId t : query.terms) {
-        if (!word_lists_->Has(t)) {
-          have_all = false;
-          break;
-        }
-      }
-      if (!have_all) {
-        lock.unlock();
-        continue;
-      }
-      if (algorithm == Algorithm::kSmj && id_lists_ == nullptr) {
-        lock.unlock();
-        {
-          std::unique_lock build_lock(sync_->lists_mu);
-          if (id_lists_ == nullptr) {
-            id_lists_ = std::make_unique<WordIdOrderedLists>(
-                WordIdOrderedLists::Build(*word_lists_, smj_fraction_));
-          }
-        }
-        continue;  // Revalidate everything with the shared lock back.
+    bool have_all = true;
+    for (TermId t : query.terms) {
+      if ((needs_lists && !word_lists_->Has(t)) ||
+          (needs_records && !id_lists_.Has(t))) {
+        have_all = false;
+        break;
       }
     }
-    break;
+    if (have_all) break;
+    lock.unlock();
   }
 
   // Fetched under the shared lock, so the overlay is consistent with the
@@ -498,26 +510,14 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
     }
     case Algorithm::kSmj: {
       if (effective.delta != nullptr) {
-        // Per-query bundle: each stored list overlaid with the phrases
-        // whose co-occurrence with the term became positive purely through
-        // updates -- without them SMJ could not stay exact (Section 4.5.1).
-        WordIdOrderedLists bundle(smj_fraction_);
+        WordIdOrderedLists bundle(id_lists_.fraction());
         for (TermId t : query.terms) {
-          const SharedWordList base = id_lists_->shared(t);
-          SharedWordList overlaid =
-              effective.delta->OverlayIdOrdered(t, base);
-          // The overlay returns the base pointer untouched when the term
-          // has no delta-only extras; reuse the cached SoA view then
-          // instead of re-packing the whole list per query.
-          SharedSoAList soa = overlaid == base && base != nullptr
-                                  ? id_lists_->shared_soa(t)
-                                  : nullptr;
-          bundle.Insert(t, std::move(overlaid), std::move(soa));
+          effective.delta->InsertOverlaid(t, id_lists_.record(t), &bundle);
         }
         SmjMiner miner(bundle, dict_);
         result = miner.Mine(query, effective);
       } else {
-        SmjMiner miner(*id_lists_, dict_);
+        SmjMiner miner(id_lists_, dict_);
         result = miner.Mine(query, effective);
       }
       if (options_.disk_backed) {
@@ -534,8 +534,7 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         std::unordered_set<TermId> charged;
         for (TermId t : query.terms) {
           if (!charged.insert(t).second) continue;
-          tier.ChargeListScan(
-              t, word_lists_->Partial(t, smj_fraction_).size());
+          tier.ChargeListScan(t, id_lists_.list(t).size());
         }
         const DiskStats& stats = tier.device().stats();
         result.disk_ms = stats.cost_ms;
@@ -567,7 +566,7 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
   // PhraseService) stamps the epoch of the snapshot it passed in.
   if (!caller_delta) result.epoch = snap.epoch;
   result.guarantee = GuaranteeFor(algorithm, effective.delta != nullptr,
-                                  smj_fraction_ >= 1.0);
+                                  id_lists_.fraction() >= 1.0);
   return result;
 }
 
@@ -733,7 +732,7 @@ void MiningEngine::Rebuild() {
   {
     std::shared_lock lists_lock(sync_->lists_mu);
     warm_terms = word_lists_->Terms();
-    fraction = smj_fraction_;
+    fraction = id_lists_.fraction();
   }
 
   // The expensive part runs against a private engine; readers are
@@ -754,8 +753,7 @@ void MiningEngine::Rebuild() {
   forward_compressed_ = std::move(fresh.forward_compressed_);
   phrase_file_ = std::move(fresh.phrase_file_);
   word_lists_ = std::move(fresh.word_lists_);
-  smj_fraction_ = fraction;
-  id_lists_.reset();
+  id_lists_ = WordIdOrderedLists(fraction);
   disk_lists_.reset();
   postings_.reset();
   exact_.reset();

@@ -194,8 +194,12 @@ struct MiningEngineOptions {
 /// phrase dictionary and every index, and routes Mine() calls to the five
 /// algorithms. Word-specific lists are built lazily per query term (they
 /// are the only index whose full materialization is quadratic-ish; see
-/// WordScoreLists::Build), and id-ordered SMJ lists are cached per
-/// construction fraction.
+/// WordScoreLists::Build). Each term's id-ordered SMJ record (its
+/// score-ordered prefix at the construction fraction, re-sorted by id,
+/// plus its SoA view) is built lazily too, once, and kept: the store only
+/// grows. A record depends on its own term's list alone, so a new term
+/// never touches another term's record; only SetSmjFraction and Rebuild
+/// drop them.
 ///
 /// Typical use:
 ///   MiningEngine engine = MiningEngine::Build(std::move(corpus));
@@ -228,11 +232,16 @@ struct MiningEngineOptions {
 ///     brief snapshot-pointer swap. Rebuild holds the update mutex for its
 ///     whole build (ingest stalls, mining does not) and takes the
 ///     exclusive structure lock only for the final swap.
-///   * Exception: word_lists() hands out the lazily merged container
-///     without synchronization. Only read it while no Mine(),
-///     EnsureWordLists() or Rebuild() call can be in flight (tests,
-///     benchmarks, single-threaded preprocessing). PhraseService never
-///     reads it.
+///   * EnsureWordLists() and EnsureIdOrderedLists() may run concurrently
+///     with each other and with Mine(). Both build the missing terms'
+///     lists off the exclusive lock and insert them under it after a
+///     structure-generation check; inserting one term never moves or
+///     replaces another term's list.
+///   * Exception: word_lists() and id_ordered_lists() hand out the lazily
+///     grown containers without synchronization. Read them under
+///     WithSharedStructures, or while no Mine(), Ensure*Lists() or
+///     Rebuild() call can be in flight (tests, benchmarks,
+///     single-threaded preprocessing). PhraseService never reads them.
 ///   * Algorithms whose miners keep per-call scratch (kExact, kGm,
 ///     kSimitsis) serialize per algorithm; kNraDisk serializes on the
 ///     shared SimulatedDisk. kNra and kSmj run fully in parallel once
@@ -396,15 +405,19 @@ class MiningEngine {
   /// Ensures lists exist for every term of every query (harness helper).
   void EnsureWordListsFor(std::span<const Query> queries);
 
-  /// Ensures the id-ordered SMJ lists (and their SoA kernel views) exist
-  /// for these terms at the current construction fraction -- the same
-  /// structure an SMJ mine builds on first use. ShardedEngine's list
-  /// scatter/fill rounds call this so their kernels run on the cached
-  /// id-ordered lists instead of re-sorting score-ordered ones per query.
+  /// Ensures the id-ordered SMJ records (run plus SoA kernel view) exist
+  /// for these terms at the current construction fraction, building
+  /// their score lists first if needed -- the same records an SMJ mine
+  /// builds on first use. Only the missing terms' records are built;
+  /// existing records are never touched. ShardedEngine's list
+  /// scatter/fill rounds and the subscription layer read the records
+  /// through id_ordered_lists() after calling this.
   void EnsureIdOrderedLists(std::span<const TermId> terms);
 
-  /// Rebuilds the SMJ id-ordered lists at this construction fraction
-  /// (Section 4.4.1: a construction-time decision).
+  /// Sets the SMJ construction fraction (Section 4.4.1: a
+  /// construction-time decision) and drops every id-ordered record; the
+  /// next SMJ mine or EnsureIdOrderedLists call rebuilds the records it
+  /// needs at the new fraction.
   void SetSmjFraction(double fraction);
 
   /// Re-budgets the disk tier at runtime: the next kNraDisk mine lazily
@@ -450,7 +463,7 @@ class MiningEngine {
   std::shared_ptr<const std::unordered_set<TermId>> ResidentSetLocked() const;
   double smj_fraction() const {
     std::shared_lock lock(sync_->lists_mu);  // Rebuild() rewrites it
-    return smj_fraction_;
+    return id_lists_.fraction();
   }
 
   // --- Component access (benchmarks, tests) ----------------------------------
@@ -468,14 +481,11 @@ class MiningEngine {
   /// threading contract before reading this concurrently.
   const WordScoreLists& word_lists() const { return *word_lists_; }
 
-  /// The cached id-ordered SMJ lists at the current fraction, or nullptr
-  /// before any SMJ mine / EnsureIdOrderedLists call (and right after a
-  /// word-list merge or fraction change invalidates them). Read only
-  /// under WithSharedStructures, and re-check for null there: the caller
-  /// must fall back to the score-ordered lists when absent.
-  const WordIdOrderedLists* id_ordered_lists() const {
-    return id_lists_.get();
-  }
+  /// The per-term id-ordered SMJ records at the current fraction. Holds
+  /// a record for every term an SMJ mine or EnsureIdOrderedLists call
+  /// covered since the last SetSmjFraction/Rebuild. Read it under
+  /// WithSharedStructures; see the class threading contract.
+  const WordIdOrderedLists& id_ordered_lists() const { return id_lists_; }
 
   /// Phrase posting index, built lazily (only the Simitsis baseline uses
   /// it). Not rebuild-safe: the reference is invalidated by Rebuild().
@@ -488,9 +498,9 @@ class MiningEngine {
   struct Sync {
     /// Serializes ApplyUpdate and Rebuild against each other.
     std::mutex update_mu;
-    /// Guards word_lists_, id_lists_, disk_lists_, smj_fraction_ and -- on
+    /// Guards word_lists_, id_lists_, disk_lists_ and -- on
     /// a rebuild swap -- every base structure: shared for mining reads,
-    /// exclusive for merges, fraction changes and rebuild swaps.
+    /// exclusive for list inserts, fraction changes and rebuild swaps.
     std::shared_mutex lists_mu;
     /// Guards epoch_, generation_, delta_ and last_update_stats_.
     mutable std::mutex snapshot_mu;
@@ -514,10 +524,6 @@ class MiningEngine {
   /// Hands out the next process-unique structure version (monotone
   /// counter starting at 1; 0 never occurs).
   static uint64_t NextStructureVersion();
-
-  /// Invalidates structures derived from word_lists_ after it changes.
-  /// Caller must hold lists_mu exclusively.
-  void InvalidateDerivedLists();
 
   /// Lazily constructs the disk tier over the current word lists. When
   /// the engine was loaded from an index file the tier runs on a
@@ -552,8 +558,8 @@ class MiningEngine {
 
   std::unique_ptr<PhrasePostingIndex> postings_;  // lazy
   std::unique_ptr<WordScoreLists> word_lists_;
-  double smj_fraction_ = 1.0;
-  std::unique_ptr<WordIdOrderedLists> id_lists_;      // at smj_fraction_
+  /// Per-term SMJ records; its fraction() is the construction fraction.
+  WordIdOrderedLists id_lists_;
   std::unique_ptr<DiskResidentLists> disk_lists_;     // lazy, tracks word_lists_
 
   /// Observed per-term query counts feeding the spill policy's hotness

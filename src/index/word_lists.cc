@@ -40,6 +40,14 @@ std::vector<ListEntry> BuildOneList(const InvertedIndex& inverted,
   return list;
 }
 
+/// Entries in the partial-list prefix of a `size`-entry list: the top
+/// `fraction` (clamped to [0, 1]) with ceil rounding.
+std::size_t PrefixLength(std::size_t size, double fraction) {
+  fraction = std::clamp(fraction, 0.0, 1.0);
+  return static_cast<std::size_t>(
+      std::ceil(fraction * static_cast<double>(size)));
+}
+
 }  // namespace
 
 WordScoreLists WordScoreLists::Build(const InvertedIndex& inverted,
@@ -101,10 +109,7 @@ void WordScoreLists::Insert(TermId term, SharedWordList list) {
 std::span<const ListEntry> WordScoreLists::Partial(TermId term,
                                                    double fraction) const {
   std::span<const ListEntry> full = list(term);
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  const std::size_t n = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(full.size())));
-  return full.subspan(0, n);
+  return full.subspan(0, PrefixLength(full.size(), fraction));
 }
 
 std::size_t WordScoreLists::TotalEntries() const {
@@ -114,11 +119,9 @@ std::size_t WordScoreLists::TotalEntries() const {
 }
 
 std::size_t WordScoreLists::EntriesAt(double fraction) const {
-  fraction = std::clamp(fraction, 0.0, 1.0);
   std::size_t total = 0;
   for (const auto& [term, list] : lists_) {
-    total += static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(list->size())));
+    total += PrefixLength(list->size(), fraction);
   }
   return total;
 }
@@ -203,22 +206,26 @@ WordIdOrderedLists::WordIdOrderedLists(double fraction)
 
 WordIdOrderedLists WordIdOrderedLists::Build(const WordScoreLists& score_lists,
                                              double fraction) {
-  WordIdOrderedLists result;
-  result.fraction_ = std::clamp(fraction, 0.0, 1.0);
+  WordIdOrderedLists result(fraction);
   for (TermId t : score_lists.Terms()) {
-    result.Insert(t, IdOrderPrefix(score_lists.Partial(t, result.fraction_)));
+    result.lists_.emplace(t, BuildRecord(score_lists.list(t), fraction));
   }
   return result;
 }
 
-SharedWordList WordIdOrderedLists::IdOrderPrefix(
-    std::span<const ListEntry> prefix) {
-  std::vector<ListEntry> list(prefix.begin(), prefix.end());
-  std::sort(list.begin(), list.end(),
+WordIdOrderedLists::Record WordIdOrderedLists::BuildRecord(
+    std::span<const ListEntry> score_list, double fraction) {
+  const std::span<const ListEntry> prefix =
+      score_list.subspan(0, PrefixLength(score_list.size(), fraction));
+  std::vector<ListEntry> run(prefix.begin(), prefix.end());
+  std::sort(run.begin(), run.end(),
             [](const ListEntry& a, const ListEntry& b) {
               return a.phrase < b.phrase;
             });
-  return std::make_shared<const std::vector<ListEntry>>(std::move(list));
+  auto soa = std::make_shared<const SoABlockList>(
+      SoABlockList::FromIdOrdered(std::span<const ListEntry>(run)));
+  return Record{std::make_shared<const std::vector<ListEntry>>(std::move(run)),
+                std::move(soa)};
 }
 
 SharedWordList WordIdOrderedLists::MergeById(std::span<const ListEntry> base,
@@ -239,22 +246,16 @@ std::span<const ListEntry> WordIdOrderedLists::list(TermId term) const {
   return *it->second.entries;
 }
 
-SharedWordList WordIdOrderedLists::shared(TermId term) const {
-  auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second.entries;
-}
-
 const SoABlockList* WordIdOrderedLists::soa(TermId term) const {
   auto it = lists_.find(term);
   if (it == lists_.end()) return nullptr;
   return it->second.soa.get();
 }
 
-SharedSoAList WordIdOrderedLists::shared_soa(TermId term) const {
+WordIdOrderedLists::Record WordIdOrderedLists::record(TermId term) const {
   auto it = lists_.find(term);
-  if (it == lists_.end()) return nullptr;
-  return it->second.soa;
+  if (it == lists_.end()) return {};
+  return it->second;
 }
 
 void WordIdOrderedLists::Insert(TermId term, SharedWordList list,
@@ -264,7 +265,7 @@ void WordIdOrderedLists::Insert(TermId term, SharedWordList list,
     soa = std::make_shared<const SoABlockList>(
         SoABlockList::FromIdOrdered(std::span<const ListEntry>(*list)));
   }
-  lists_.try_emplace(term, Stored{std::move(list), std::move(soa)});
+  lists_.try_emplace(term, Record{std::move(list), std::move(soa)});
 }
 
 std::size_t WordIdOrderedLists::TotalEntries() const {

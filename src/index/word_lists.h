@@ -148,7 +148,7 @@ class WordIdOrderedLists {
   WordIdOrderedLists() = default;
 
   /// Empty container pinned at a fraction, to be populated via Insert
-  /// (service-layer per-query bundles assembled from cached lists).
+  /// (MiningEngine's per-term store, per-query bundles).
   explicit WordIdOrderedLists(double fraction);
 
   WordIdOrderedLists(WordIdOrderedLists&&) = default;
@@ -156,15 +156,24 @@ class WordIdOrderedLists {
   WordIdOrderedLists(const WordIdOrderedLists&) = delete;
   WordIdOrderedLists& operator=(const WordIdOrderedLists&) = delete;
 
+  /// One term's SMJ input: the id-ordered entry run plus its packed SoA
+  /// view. A record depends on nothing but its term's score-ordered list
+  /// and the construction fraction, so no other term ever changes it.
+  struct Record {
+    SharedWordList entries;
+    SharedSoAList soa;
+  };
+
   /// Builds id-ordered lists from score-ordered lists at a fixed fraction.
   static WordIdOrderedLists Build(const WordScoreLists& score_lists,
                                   double fraction);
 
-  /// Re-sorts one score-ordered list prefix by phrase id; the single-term
-  /// unit of Build, shared with the service-layer cache. The prefix must
-  /// already be truncated to the desired fraction (see
-  /// WordScoreLists::Partial).
-  static SharedWordList IdOrderPrefix(std::span<const ListEntry> prefix);
+  /// Builds one term's record: the top `fraction` (ceil rounding, clamped
+  /// to [0, 1]) of its score-ordered list, re-sorted by phrase id, and
+  /// that run's SoA view. The single per-term unit behind Build,
+  /// MiningEngine's per-term store and the service-layer list cache.
+  static Record BuildRecord(std::span<const ListEntry> score_list,
+                            double fraction);
 
   /// Merges two id-ordered entry runs into one id-ordered list. Used to
   /// overlay DeltaIndex::ExtraIdOrderedEntries onto a stored list for the
@@ -178,18 +187,15 @@ class WordIdOrderedLists {
   /// Id-ordered list for a term; empty span if absent.
   std::span<const ListEntry> list(TermId term) const;
 
-  /// Shared handle to a term's list; nullptr if absent.
-  SharedWordList shared(TermId term) const;
-
   /// Packed SoA block view of a term's list (built at Insert time);
   /// nullptr if the term has no list. Valid as long as the container (the
   /// view is shared-owned alongside the AoS run).
   const SoABlockList* soa(TermId term) const;
 
-  /// Shared handle to a term's SoA view; nullptr if absent. Pass it to
-  /// another container's Insert to share the view instead of rebuilding
-  /// it (per-query bundles assembled from cached lists).
-  SharedSoAList shared_soa(TermId term) const;
+  /// A term's record, shared (both handles null if absent). Pass its
+  /// view to another container's Insert to share it instead of
+  /// rebuilding it (per-query bundles assembled from stored records).
+  Record record(TermId term) const;
 
   /// Adds a prebuilt id-ordered list; keeps any existing list for the
   /// term. When `soa` is null the SoA view is built here (an O(list)
@@ -202,12 +208,8 @@ class WordIdOrderedLists {
   std::size_t TotalEntries() const;
 
  private:
-  struct Stored {
-    SharedWordList entries;
-    SharedSoAList soa;
-  };
   double fraction_ = 1.0;
-  std::unordered_map<TermId, Stored> lists_;
+  std::unordered_map<TermId, Record> lists_;
 };
 
 }  // namespace phrasemine

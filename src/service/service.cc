@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -120,7 +119,7 @@ PhraseService::PhraseService(MiningEngine* engine,
                  const uint64_t generation = engine_->list_generation();
                  if (auto entry =
                          word_list_cache_.Peek(ScoreListKey(term, generation))) {
-                   return entry->list->size();
+                   return entry->entries->size();
                  }
                  return std::nullopt;
                }),
@@ -514,25 +513,15 @@ MineResult PhraseService::Run(const Query& canonical, Algorithm algorithm,
         WordIdOrderedLists bundle(smj_fraction_);
         for (TermId t : canonical.terms) {
           CachedWordList cached = GetOrBuildIdList(t, snap.generation);
-          if (cached.list == nullptr) {
+          if (cached.entries == nullptr) {
             stale = true;
             break;
           }
-          SharedWordList base = cached.list;
-          SharedSoAList soa = std::move(cached.soa);
           if (effective.delta != nullptr) {
-            // Overlay phrases whose co-occurrence with t became positive
-            // purely through updates; without them SMJ loses its
-            // exactness guarantee under inserts (Section 4.5.1). When the
-            // overlay returns the base pointer untouched (no extras for
-            // this term) the cached SoA view stays valid; otherwise the
-            // bundle re-packs the overlaid run.
-            SharedWordList overlaid =
-                effective.delta->OverlayIdOrdered(t, base);
-            if (overlaid != base) soa = nullptr;
-            base = std::move(overlaid);
+            effective.delta->InsertOverlaid(t, std::move(cached), &bundle);
+          } else {
+            bundle.Insert(t, std::move(cached.entries), std::move(cached.soa));
           }
-          bundle.Insert(t, std::move(base), std::move(soa));
         }
         if (!stale) {
           SmjMiner miner(bundle, engine_->dict());
@@ -559,7 +548,7 @@ MineResult PhraseService::Run(const Query& canonical, Algorithm algorithm,
 SharedWordList PhraseService::GetOrBuildScoreList(TermId term,
                                                   uint64_t generation) {
   const uint64_t key = ScoreListKey(term, generation);
-  if (auto cached = word_list_cache_.Get(key)) return cached->list;
+  if (auto cached = word_list_cache_.Get(key)) return cached->entries;
   // Two threads racing on the same cold term both build; the lists are
   // identical by construction, so the second Put is a harmless refresh.
   // The shared structure lock keeps a concurrent rebuild from swapping
@@ -586,18 +575,12 @@ PhraseService::CachedWordList PhraseService::GetOrBuildIdList(
   if (auto cached = word_list_cache_.Get(key)) return *cached;
   SharedWordList score = GetOrBuildScoreList(term, generation);
   if (score == nullptr) return {};  // stale generation: caller retries
-  const double fraction = std::clamp(smj_fraction_, 0.0, 1.0);
-  const std::size_t prefix_len = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(score->size())));
-  SharedWordList id_list = WordIdOrderedLists::IdOrderPrefix(
-      std::span<const ListEntry>(*score).subspan(0, prefix_len));
   // The SoA kernel view is built once here and shared into every SMJ
   // bundle that hits this cache entry.
-  auto soa = std::make_shared<const SoABlockList>(
-      SoABlockList::FromIdOrdered(std::span<const ListEntry>(*id_list)));
-  const CachedWordList entry{std::move(id_list), std::move(soa)};
+  const CachedWordList entry =
+      WordIdOrderedLists::BuildRecord(*score, smj_fraction_);
   word_list_cache_.Put(key, entry,
-                       entry.list->size() * kListEntryBytes +
+                       entry.entries->size() * kListEntryBytes +
                            entry.soa->MemoryBytes() + 64);
   return entry;
 }

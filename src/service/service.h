@@ -402,10 +402,7 @@ class PhraseService {
   /// together so per-query SMJ bundles reuse the packed view instead of
   /// re-packing the list on every request. `soa` is null for score lists
   /// (NRA consumes the AoS run directly).
-  struct CachedWordList {
-    SharedWordList list;
-    SharedSoAList soa;
-  };
+  using CachedWordList = WordIdOrderedLists::Record;
 
   SharedWordList GetOrBuildScoreList(TermId term, uint64_t generation);
   CachedWordList GetOrBuildIdList(TermId term, uint64_t generation);

@@ -140,8 +140,18 @@ struct GlobalCandidate {
   std::vector<uint64_t> codf;
 };
 
-int64_t ClampCount(int64_t value, int64_t hi) {
-  return std::clamp<int64_t>(value, 0, hi);
+/// True when the shard holds an id-ordered record for every query term.
+/// Callers run EnsureIdOrderedLists first and check the generation, so a
+/// missing record means the store moved on in between: the leg reports
+/// stale and the mine retries with fresh snapshots. Shards are pinned to
+/// full lists (Options::engine); the merges' exactness depends on it.
+bool HasFullRecords(const WordIdOrderedLists& idl,
+                    std::span<const TermId> terms) {
+  PM_CHECK_MSG(idl.fraction() >= 1.0, "fleet shards need full SMJ lists");
+  for (TermId t : terms) {
+    if (!idl.Has(t)) return false;
+  }
+  return true;
 }
 
 /// The overlay actually in effect for a snapshot (null when none).
@@ -218,9 +228,8 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       GuaranteeFor(algorithm, delta != nullptr, /*smj_full_lists=*/true);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    for (TermId t : query.terms) {
-      if (!engine.word_lists().Has(t)) return false;
-    }
+    const WordIdOrderedLists& idl = engine.id_ordered_lists();
+    if (!HasFullRecords(idl, query.terms)) return false;
     out->num_docs = engine.forward().num_docs();
     std::unordered_map<PhraseId, std::size_t> slot;
     auto fold = [&](std::size_t term_index, PhraseId phrase, double prob) {
@@ -241,40 +250,22 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       }
       out->candidates[it->second].codf[term_index] = codf;
     };
-    // The engine's cached id-ordered lists carry the SoA views the fold
+    // The engine's id-ordered records carry the SoA views the fold
     // streams over (contiguous id/prob arrays), and double as the
     // pre-sorted base the delta extras merge against -- no per-query
-    // re-sort. Only a full-fraction cache is usable (sharded SMJ merges
-    // full lists); the score-ordered scan below is the fallback when a
-    // concurrent invalidation or a truncated fraction removed it.
-    const WordIdOrderedLists* idl = engine.id_ordered_lists();
-    const bool use_idl = idl != nullptr && idl->fraction() >= 1.0;
+    // re-sort. Pairs whose co-occurrence became positive purely through
+    // updates are absent from the stored list; the extras enumerate them
+    // the same way the monolithic SMJ bundle assembly does.
     for (std::size_t i = 0; i < r; ++i) {
       const TermId t = query.terms[i];
-      if (use_idl && idl->Has(t)) {
-        const SoABlockList* soa = idl->soa(t);
-        const PhraseId* ids = soa->ids();
-        const double* probs = soa->probs();
-        const std::size_t len = soa->size();
-        for (std::size_t k = 0; k < len; ++k) fold(i, ids[k], probs[k]);
-        if (delta != nullptr) {
-          for (const ListEntry& extra :
-               delta->ExtraIdOrderedEntries(t, idl->list(t))) {
-            fold(i, extra.phrase, extra.prob);
-          }
-        }
-        continue;
-      }
-      const SharedWordList base = engine.word_lists().shared(t);
-      for (const ListEntry& entry : *base) fold(i, entry.phrase, entry.prob);
+      const SoABlockList* soa = idl.soa(t);
+      const PhraseId* ids = soa->ids();
+      const double* probs = soa->probs();
+      const std::size_t len = soa->size();
+      for (std::size_t k = 0; k < len; ++k) fold(i, ids[k], probs[k]);
       if (delta != nullptr) {
-        // Pairs whose co-occurrence became positive purely through
-        // updates are absent from the stored list; enumerate them the
-        // same way the monolithic SMJ bundle assembly does.
-        const SharedWordList id_base = WordIdOrderedLists::IdOrderPrefix(
-            std::span<const ListEntry>(*base));
-        for (const ListEntry& extra : delta->ExtraIdOrderedEntries(
-                 t, std::span<const ListEntry>(*id_base))) {
+        for (const ListEntry& extra :
+             delta->ExtraIdOrderedEntries(t, idl.list(t))) {
           fold(i, extra.phrase, extra.prob);
         }
       }
@@ -378,11 +369,8 @@ bool ListFill(MiningEngine& engine, const Query& query,
   out->assign(cands.size(), PartialSupport{});
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    if (need_codf) {
-      for (TermId t : query.terms) {
-        if (!engine.word_lists().Has(t)) return false;
-      }
-    }
+    const WordIdOrderedLists& idl = engine.id_ordered_lists();
+    if (need_codf && !HasFullRecords(idl, query.terms)) return false;
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (!need[i]) continue;
       const PhraseId p = cands[i].phrase;
@@ -392,73 +380,32 @@ bool ListFill(MiningEngine& engine, const Query& query,
     }
     if (!need_codf) return true;
 
-    const WordIdOrderedLists* idl = engine.id_ordered_lists();
-    bool use_idl = idl != nullptr && idl->fraction() >= 1.0;
-    if (use_idl) {
-      for (TermId t : query.terms) use_idl = use_idl && idl->Has(t);
-    }
-    if (use_idl) {
-      // Kernel path: one galloping pass per term over the id-ordered SoA
-      // list gathers every needed candidate's stored probability (0.0
-      // when absent). AdjustedShardCodf on a 0.0 base recovers exactly the
-      // delta-only count the scan path computes for absent candidates,
-      // so the two paths produce identical supports.
-      std::vector<std::pair<PhraseId, std::size_t>> probes;
-      probes.reserve(cands.size());
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!need[i]) continue;
-        if (cands[i].phrase >= engine.dict().size()) continue;
-        probes.emplace_back(cands[i].phrase, i);
-      }
-      std::sort(probes.begin(), probes.end());
-      std::vector<PhraseId> probe_ids(probes.size());
-      for (std::size_t m = 0; m < probes.size(); ++m) {
-        probe_ids[m] = probes[m].first;
-      }
-      std::vector<double> gathered(probes.size());
-      for (std::size_t j = 0; j < r; ++j) {
-        const TermId t = query.terms[j];
-        kernels::GatherProbes(*idl->soa(t), probe_ids, gathered.data());
-        for (std::size_t m = 0; m < probes.size(); ++m) {
-          const std::size_t i = probes[m].second;
-          const PhraseId p = probes[m].first;
-          const uint32_t base_df = engine.dict().df(p);
-          (*out)[i].codf[j] = AdjustedShardCodf(gathered[m], base_df, t, p, delta,
-                                           (*out)[i].df);
-        }
-      }
-      return true;
-    }
-
-    // Fallback scan over the score-ordered lists (truncated id-list cache
-    // or a concurrent invalidation), the pre-kernel reference path.
-    std::unordered_map<PhraseId, std::size_t> slot;
+    // One galloping pass per term over the id-ordered SoA list gathers
+    // every needed candidate's stored probability (0.0 when absent);
+    // AdjustedShardCodf on a 0.0 base recovers the delta-only count of a
+    // candidate the stored list lacks.
+    std::vector<std::pair<PhraseId, std::size_t>> probes;
+    probes.reserve(cands.size());
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (!need[i]) continue;
-      const PhraseId p = cands[i].phrase;
-      if (p >= engine.dict().size()) continue;
-      slot.emplace(p, i);
+      if (cands[i].phrase >= engine.dict().size()) continue;
+      probes.emplace_back(cands[i].phrase, i);
     }
-    std::vector<uint8_t> in_base(cands.size());
+    std::sort(probes.begin(), probes.end());
+    std::vector<PhraseId> probe_ids(probes.size());
+    for (std::size_t m = 0; m < probes.size(); ++m) {
+      probe_ids[m] = probes[m].first;
+    }
+    std::vector<double> gathered(probes.size());
     for (std::size_t j = 0; j < r; ++j) {
       const TermId t = query.terms[j];
-      std::fill(in_base.begin(), in_base.end(), 0);
-      for (const ListEntry& entry : engine.word_lists().list(t)) {
-        auto it = slot.find(entry.phrase);
-        if (it == slot.end()) continue;
-        const std::size_t i = it->second;
-        in_base[i] = 1;
-        const uint32_t base_df = engine.dict().df(entry.phrase);
-        (*out)[i].codf[j] = AdjustedShardCodf(entry.prob, base_df, t,
-                                         entry.phrase, delta, (*out)[i].df);
-      }
-      if (delta == nullptr) continue;
-      // Candidates absent from the base list may still have a positive
-      // co-occurrence purely through updates.
-      for (const auto& [p, i] : slot) {
-        if (in_base[i]) continue;
-        (*out)[i].codf[j] = static_cast<uint32_t>(ClampCount(
-            delta->CoDelta(t, p), static_cast<int64_t>((*out)[i].df)));
+      kernels::GatherProbes(*idl.soa(t), probe_ids, gathered.data());
+      for (std::size_t m = 0; m < probes.size(); ++m) {
+        const std::size_t i = probes[m].second;
+        const PhraseId p = probes[m].first;
+        const uint32_t base_df = engine.dict().df(p);
+        (*out)[i].codf[j] =
+            AdjustedShardCodf(gathered[m], base_df, t, p, delta, (*out)[i].df);
       }
     }
     return true;
@@ -498,6 +445,9 @@ ShardedEngine ShardedEngine::Build(Corpus corpus, Options options) {
   // engine-level persist_path would send every shard to the same file, so
   // it is cleared unconditionally (see Options::persist_path).
   options.engine.persist_path.clear();
+  // The merges sum exact per-shard supports: full lists only (see
+  // Options::engine). RefreshDictionary inherits the pin.
+  options.engine.default_smj_fraction = 1.0;
   ShardedEngine sharded;
   sharded.options_ = std::move(options);
   const std::size_t n = sharded.options_.num_shards;
@@ -639,6 +589,7 @@ Result<ShardedEngine> ShardedEngine::LoadFromFiles(const std::string& prefix,
   options.engine.disk_backed = options.disk_backed;
   options.engine.disk_resident_budget = options.disk_budget_per_shard;
   options.engine.persist_path.clear();
+  options.engine.default_smj_fraction = 1.0;
   options.persist_path = prefix;
 
   ShardedEngine sharded;

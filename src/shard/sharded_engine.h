@@ -31,7 +31,10 @@ struct ShardedEngineOptions {
   /// a fixed phrase set with per-shard document frequencies -- see
   /// MiningEngineOptions::fixed_phrase_set. PhraseIds are therefore
   /// global: identical across shards and identical to a monolithic
-  /// engine built from the same corpus and options.
+  /// engine built from the same corpus and options. default_smj_fraction
+  /// is ignored: every shard is pinned to full id-ordered lists (1.0),
+  /// because the sharded SMJ and NRA merges sum exact per-shard supports
+  /// and a truncated list would hide some of them.
   MiningEngineOptions engine;
   /// Scatter fan-out of the approximate (top-k') paths (GM, Simitsis,
   /// NRA, NRA-disk): each shard mines merge_headroom * k + merge_slack
@@ -359,7 +362,8 @@ class ShardedEngine {
   /// RefreshDictionary (which destroys and replaces every engine): do
   /// not call concurrently with one or hold the reference across one --
   /// the synchronized entry points (Mine, ParseQuery, PhraseText,
-  /// GatherPlannerInputs, epochs) are the refresh-safe surface.
+  /// GatherPlannerInputs, epochs) are the refresh-safe surface. Never
+  /// call SetSmjFraction on a shard: the merges need full lists.
   const MiningEngine& shard(std::size_t i) const { return *shards_[i]; }
   MiningEngine& shard(std::size_t i) { return *shards_[i]; }
 

@@ -553,7 +553,7 @@ double SubscriptionManager::BaseProb(std::size_t shard, TermId term,
   const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
                        static_cast<uint64_t>(term);
   auto it = base_lists_.find(key);
-  if (it == base_lists_.end() || it->second.id_ordered == nullptr) return 0.0;
+  if (it == base_lists_.end()) return 0.0;
   const std::vector<ListEntry>& list = *it->second.id_ordered;
   auto pos = std::lower_bound(
       list.begin(), list.end(), phrase,
@@ -576,17 +576,23 @@ bool SubscriptionManager::EnsureBaseLists(std::size_t shard,
   }
   if (missing.empty()) return true;
 
-  std::vector<SharedWordList> score_lists(missing.size());
+  // The engine's own id-ordered records, shared rather than copied. The
+  // rescore is exact only over full lists: a truncated store (the
+  // fraction changed after Subscribe checked it) fails like a version
+  // change, and the caller re-mines.
+  std::vector<SharedWordList> records(missing.size());
   bool ok = true;
   auto read = [&](MiningEngine& engine) {
-    engine.EnsureWordLists(missing);
+    engine.EnsureIdOrderedLists(missing);
     engine.WithSharedStructures([&] {
-      if (engine.structure_version() != version) {
+      const WordIdOrderedLists& idl = engine.id_ordered_lists();
+      if (engine.structure_version() != version || idl.fraction() < 1.0) {
         ok = false;
         return;
       }
       for (std::size_t i = 0; i < missing.size(); ++i) {
-        score_lists[i] = engine.word_lists().shared(missing[i]);
+        records[i] = idl.record(missing[i]).entries;
+        if (records[i] == nullptr) ok = false;
       }
     });
   };
@@ -600,11 +606,7 @@ bool SubscriptionManager::EnsureBaseLists(std::size_t shard,
   for (std::size_t i = 0; i < missing.size(); ++i) {
     const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
                          static_cast<uint64_t>(missing[i]);
-    SharedWordList id_ordered =
-        score_lists[i] == nullptr
-            ? std::make_shared<const std::vector<ListEntry>>()
-            : WordIdOrderedLists::IdOrderPrefix(*score_lists[i]);
-    base_lists_[key] = CachedList{version, std::move(id_ordered)};
+    base_lists_[key] = CachedList{version, std::move(records[i])};
   }
   return true;
 }

@@ -245,8 +245,9 @@ class SubscriptionManager {
 
   struct Sub;
 
-  /// Per-(shard, term) cached base list in id order, tagged with the
-  /// structure version it was read at. Worker-only.
+  /// The engine's full id-ordered record for one (shard, term), shared
+  /// with the engine and tagged with the structure version it was read
+  /// at. Worker-only.
   struct CachedList {
     uint64_t version = 0;
     SharedWordList id_ordered;
@@ -281,8 +282,9 @@ class SubscriptionManager {
                                        bool* ok);
   /// Base list probability of (shard, term, phrase); 0.0 when absent.
   double BaseProb(std::size_t shard, TermId term, PhraseId phrase) const;
-  /// Refreshes the (shard, term) cached lists at `version`; false when
-  /// the engine is no longer at that structure version.
+  /// Refreshes the (shard, term) records at `version`; false when the
+  /// engine is no longer at that structure version or its records are
+  /// truncated (smj_fraction < 1).
   bool EnsureBaseLists(std::size_t shard, const std::vector<TermId>& terms,
                        uint64_t version);
   void Publish(Sub& sub, bool exact, bool initial);

@@ -2,6 +2,8 @@
 // snapshot persistence, and end-to-end agreement after a save/load cycle.
 
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "core/engine.h"
 #include "gtest/gtest.h"
@@ -9,6 +11,18 @@
 
 namespace phrasemine {
 namespace {
+
+/// The first `count` terms (in id order) with document frequency >=
+/// min_df: a pool of distinct terms no test step has queried yet.
+std::vector<TermId> FrequentTerms(const MiningEngine& engine, uint32_t min_df,
+                                  std::size_t count) {
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < engine.inverted().num_terms() && terms.size() < count;
+       ++t) {
+    if (engine.inverted().df(t) >= min_df) terms.push_back(t);
+  }
+  return terms;
+}
 
 TEST(EngineTest, BuildPopulatesAllEagerStructures) {
   MiningEngine engine = testing::MakeTinyEngine();
@@ -51,6 +65,99 @@ TEST(EngineTest, SetSmjFractionRebuildsIdLists) {
   MineResult small = engine.Mine(q.value(), Algorithm::kSmj);
   EXPECT_DOUBLE_EQ(engine.smj_fraction(), 0.1);
   EXPECT_LE(small.entries_read, full.entries_read);
+}
+
+TEST(EngineTest, NewTermKeepsBuiltIdRecords) {
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  const std::vector<TermId> terms = FrequentTerms(engine, 20, 4);
+  ASSERT_EQ(terms.size(), 4u);
+  const TermId a = terms[0];
+  const TermId b = terms[1];
+  auto record_a = [&] { return engine.id_ordered_lists().record(a); };
+
+  engine.EnsureIdOrderedLists({&a, 1});
+  const WordIdOrderedLists::Record built = record_a();
+  ASSERT_NE(built.entries, nullptr);
+  ASSERT_NE(built.soa, nullptr);
+  ASSERT_GE(built.entries->size(), 2u);
+
+  // Another term's record is added beside a's, never over it.
+  engine.EnsureIdOrderedLists({&b, 1});
+  EXPECT_EQ(record_a().entries, built.entries);
+  EXPECT_EQ(record_a().soa, built.soa);
+
+  // Mines over never-seen terms grow the score lists and the store.
+  (void)engine.Mine(Query{{terms[2]}, QueryOperator::kOr}, Algorithm::kSmj);
+  (void)engine.Mine(Query{{terms[3]}, QueryOperator::kOr}, Algorithm::kNra);
+  EXPECT_TRUE(engine.id_ordered_lists().Has(terms[2]));
+  EXPECT_EQ(record_a().entries, built.entries);
+  EXPECT_EQ(record_a().soa, built.soa);
+
+  // A fraction change drops every record; a's comes back truncated.
+  engine.SetSmjFraction(0.5);
+  EXPECT_EQ(record_a().entries, nullptr);
+  engine.EnsureIdOrderedLists({&a, 1});
+  const WordIdOrderedLists::Record half = record_a();
+  ASSERT_NE(half.entries, nullptr);
+  EXPECT_LT(half.entries->size(), built.entries->size());
+
+  // A rebuild drops them too.
+  engine.Rebuild();
+  EXPECT_EQ(record_a().entries, nullptr);
+  engine.EnsureIdOrderedLists({&a, 1});
+  EXPECT_NE(record_a().entries, nullptr);
+  EXPECT_NE(record_a().entries, half.entries);
+  EXPECT_NE(record_a().soa, half.soa);
+}
+
+TEST(EngineTest, ConcurrentRecordInsertsMatchSerialMines) {
+  // Two threads mine SMJ over disjoint never-seen terms while a third
+  // grows the score lists with more fresh terms: each record insert must
+  // leave every other record (and every in-flight mine) intact.
+  MiningEngine engine = testing::MakeSmallEngine(300);
+  MiningEngine reference = testing::MakeSmallEngine(300);
+  const std::vector<TermId> pool = FrequentTerms(engine, 5, 36);
+  ASSERT_EQ(pool.size(), 36u);
+
+  constexpr std::size_t kPerThread = 6;
+  auto query_of = [&](std::size_t thread, std::size_t i) {
+    const std::size_t base = thread * 2 * kPerThread + 2 * i;
+    return Query{{pool[base], pool[base + 1]},
+                 i % 2 == 0 ? QueryOperator::kOr : QueryOperator::kAnd};
+  };
+  std::vector<std::vector<MineResult>> replies(2);
+  std::vector<std::thread> miners;
+  for (std::size_t thread = 0; thread < 2; ++thread) {
+    miners.emplace_back([&, thread] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        replies[thread].push_back(engine.Mine(query_of(thread, i),
+                                              Algorithm::kSmj, {.k = 10}));
+      }
+    });
+  }
+  std::thread grower([&] {
+    for (std::size_t i = 4 * kPerThread; i < pool.size(); ++i) {
+      engine.EnsureWordLists({&pool[i], 1});
+    }
+  });
+  for (std::thread& t : miners) t.join();
+  grower.join();
+
+  for (std::size_t thread = 0; thread < 2; ++thread) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const MineResult serial =
+          reference.Mine(query_of(thread, i), Algorithm::kSmj, {.k = 10});
+      const MineResult& got = replies[thread][i];
+      EXPECT_EQ(testing::RankedSignature(got),
+                testing::RankedSignature(serial))
+          << "thread " << thread << " query " << i;
+      ASSERT_EQ(got.phrases.size(), serial.phrases.size());
+      for (std::size_t r = 0; r < got.phrases.size(); ++r) {
+        EXPECT_EQ(got.phrases[r].interestingness,
+                  serial.phrases[r].interestingness);
+      }
+    }
+  }
 }
 
 TEST(EngineTest, PhraseTextServedFromSlotFile) {

@@ -130,6 +130,120 @@ TEST(ShardedEngineTest, DifferentialExactAndSmjMatchMonolith) {
   }
 }
 
+/// A fleet pins every shard to full id-ordered lists: engine options
+/// asking for truncated SMJ lists still merge to the full-list monolithic
+/// answer, with and without a pending overlay.
+TEST(ShardedEngineTest, FleetPinsFullListsWhateverTheEngineFraction) {
+  const std::size_t num_docs = 400;
+  MiningEngine mono = MiningEngine::Build(MakeSmallSyntheticCorpus(num_docs),
+                                          EngineOptions(/*min_df=*/3));
+  ASSERT_DOUBLE_EQ(mono.smj_fraction(), 1.0);
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.engine = EngineOptions(/*min_df=*/3);
+  options.engine.default_smj_fraction = 0.3;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(num_docs), options);
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_DOUBLE_EQ(sharded.shard(s).smj_fraction(), 1.0);
+  }
+  const std::vector<Query> queries = HarvestQueries(mono, 6);
+  ASSERT_FALSE(queries.empty());
+  auto expect_all = [&] {
+    for (const Query& base : queries) {
+      for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
+        Query query = base;
+        query.op = op;
+        ExpectEquivalentTopK(mono, sharded, query, Algorithm::kSmj,
+                             MineOptions{.k = 8});
+      }
+    }
+  };
+  expect_all();
+
+  // Re-inserting spliced halves of existing documents creates
+  // co-occurrences the stored lists lack (delta-only extras).
+  const Corpus& corpus = mono.corpus();
+  UpdateBatch batch;
+  for (DocId d = 0; d < 12; ++d) {
+    UpdateDoc doc;
+    for (const DocId src : {d, static_cast<DocId>(d + num_docs / 2)}) {
+      for (TermId t : corpus.doc(src).tokens) {
+        doc.tokens.push_back(corpus.vocab().TermText(t));
+      }
+    }
+    batch.inserts.push_back(std::move(doc));
+  }
+  batch.deletes = {1, 5, 9};
+  mono.ApplyUpdate(batch);
+  sharded.ApplyUpdate(batch);
+  EXPECT_EQ(sharded.Mine(queries[0], Algorithm::kSmj, MineOptions{.k = 8})
+                .result.guarantee,
+            UpdateGuarantee::kExactUnderDelta);
+  expect_all();
+}
+
+/// Mines over never-seen terms racing fresh score-list builds on the
+/// same shards: every reply equals a serial mine on an identical fleet.
+TEST(ShardedEngineTest, ConcurrentRecordInsertsMatchSerialMines) {
+  const std::size_t num_docs = 300;
+  ShardedEngine sharded = BuildSharded(MakeSmallSyntheticCorpus(num_docs),
+                                       /*num_shards=*/2, /*min_df=*/3);
+  ShardedEngine reference = BuildSharded(MakeSmallSyntheticCorpus(num_docs),
+                                         /*num_shards=*/2, /*min_df=*/3);
+  const MiningEngine mono = MiningEngine::Build(
+      MakeSmallSyntheticCorpus(num_docs), EngineOptions(/*min_df=*/3));
+  std::vector<TermId> pool;
+  for (TermId t = 0; t < mono.inverted().num_terms() && pool.size() < 36;
+       ++t) {
+    if (mono.inverted().df(t) >= 5) pool.push_back(t);
+  }
+  ASSERT_EQ(pool.size(), 36u);
+
+  constexpr std::size_t kPerThread = 6;
+  auto query_of = [&](std::size_t thread, std::size_t i) {
+    const std::size_t base = thread * 2 * kPerThread + 2 * i;
+    return Query{{pool[base], pool[base + 1]}, QueryOperator::kOr};
+  };
+  auto algorithm_of = [](std::size_t thread, std::size_t i) {
+    return (thread + i) % 2 == 0 ? Algorithm::kSmj : Algorithm::kNra;
+  };
+  std::vector<std::vector<ShardedMineResult>> replies(2);
+  std::vector<std::thread> miners;
+  for (std::size_t thread = 0; thread < 2; ++thread) {
+    miners.emplace_back([&, thread] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        replies[thread].push_back(sharded.Mine(query_of(thread, i),
+                                               algorithm_of(thread, i),
+                                               MineOptions{.k = 10}));
+      }
+    });
+  }
+  std::thread grower([&] {
+    for (std::size_t i = 4 * kPerThread; i < pool.size(); ++i) {
+      for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+        sharded.WithShard(s, [&](MiningEngine& engine) {
+          engine.EnsureWordLists({&pool[i], 1});
+        });
+      }
+    }
+  });
+  for (std::thread& t : miners) t.join();
+  grower.join();
+
+  for (std::size_t thread = 0; thread < 2; ++thread) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const ShardedMineResult serial = reference.Mine(
+          query_of(thread, i), algorithm_of(thread, i), MineOptions{.k = 10});
+      const ShardedMineResult& got = replies[thread][i];
+      EXPECT_EQ(testing::RankedSignature(got.result),
+                testing::RankedSignature(serial.result))
+          << "thread " << thread << " query " << i;
+      EXPECT_EQ(got.texts, serial.texts);
+    }
+  }
+}
+
 // --- Threshold exchange ------------------------------------------------------
 
 /// The exchange must be a pure fill-work optimization: ranked output

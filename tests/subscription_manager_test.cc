@@ -83,6 +83,52 @@ TEST(SubscriptionManagerTest, TruncatedSmjListsAreRefused) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(SubscriptionManagerTest, TruncatedRecordsForceRemineNotRescore) {
+  // The rescore reads the engine's own id-ordered records. Once they are
+  // truncated (the fraction dropped after Subscribe checked it), a batch
+  // must fall back to a re-mine instead of rescoring from partial lists.
+  MiningEngine engine = MakeChurnEngine();
+  MetricsRegistry registry;
+  SubscriptionManagerOptions options;
+  options.metrics = &registry;
+  SubscriptionManager manager(&engine, options);
+  SubscriptionRequest request;
+  request.terms = {"beta"};
+  request.k = 3;
+  ASSERT_TRUE(manager.Subscribe(request).ok());
+  manager.Flush();
+
+  // The first batch has no predecessor event and re-mines; with full
+  // records the next one is maintained incrementally.
+  engine.ApplyUpdate(OneDoc({"gamma", "beta", "pad7"}));
+  manager.Flush();
+  MetricsSnapshot before = registry.Snapshot();
+  engine.ApplyUpdate(OneDoc({"gamma", "beta", "pad8"}));
+  manager.Flush();
+  MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(after.counter("subscribe_incremental_total"),
+            before.counter("subscribe_incremental_total") + 1);
+  EXPECT_EQ(after.counter("subscribe_remine_total"),
+            before.counter("subscribe_remine_total"));
+
+  // Manager idle after Flush, so the structural mutation is exclusive.
+  // The full records fetched above stay exact for their structure
+  // version; the rebuild retires them, so the next incremental step must
+  // fetch the engine's now-truncated records, refuse them and re-mine.
+  engine.SetSmjFraction(0.5);
+  engine.Rebuild();
+  engine.ApplyUpdate(OneDoc({"delta", "beta", "pad9"}));
+  manager.Flush();
+  before = registry.Snapshot();
+  engine.ApplyUpdate(OneDoc({"delta", "beta", "pad10"}));
+  manager.Flush();
+  after = registry.Snapshot();
+  EXPECT_EQ(after.counter("subscribe_incremental_total"),
+            before.counter("subscribe_incremental_total"));
+  EXPECT_EQ(after.counter("subscribe_remine_total"),
+            before.counter("subscribe_remine_total") + 1);
+}
+
 TEST(SubscriptionManagerTest, BootstrapPublishArrivesThroughPoll) {
   MiningEngine engine = MakeChurnEngine();
   MetricsRegistry registry;
