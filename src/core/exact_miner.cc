@@ -53,6 +53,8 @@ ExactMiner::ExactMiner(const InvertedIndex& inverted,
                        const ForwardIndex& forward,
                        const PhraseDictionary& dict)
     : inverted_(inverted), forward_(forward), dict_(dict) {
+  PM_CHECK_MSG(forward_.storage() == ForwardStorage::kFull,
+               "ExactMiner reads the full forward index");
   counts_.assign(dict_.size(), 0);
 }
 
@@ -65,7 +67,7 @@ MineResult ExactMiner::Mine(const Query& query, const MineOptions& options) {
 
   touched_.clear();
   for (DocId d : subset) {
-    for (PhraseId p : forward_.Phrases(d, dict_)) {
+    for (PhraseId p : forward_.stored(d)) {
       if (counts_[p] == 0) touched_.push_back(p);
       ++counts_[p];
       ++result.entries_read;

@@ -9,10 +9,12 @@ namespace phrasemine {
 
 PhrasePostingIndex PhrasePostingIndex::Build(const ForwardIndex& forward,
                                              const PhraseDictionary& dict) {
+  PM_CHECK_MSG(forward.storage() == ForwardStorage::kFull,
+               "phrase postings are built from the full forward index");
   PhrasePostingIndex index;
   index.postings_.resize(dict.size());
   for (DocId d = 0; d < forward.num_docs(); ++d) {
-    for (PhraseId p : forward.Phrases(d, dict)) {
+    for (PhraseId p : forward.stored(d)) {
       index.postings_[p].push_back(d);
     }
   }

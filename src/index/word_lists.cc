@@ -1,6 +1,8 @@
 #include "index/word_lists.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <utility>
@@ -11,33 +13,58 @@ namespace phrasemine {
 
 namespace {
 
-/// Builds the score-ordered list for one term: count phrase co-occurrences
-/// over docs(term), normalize by df(p), sort by (prob desc, id asc).
-std::vector<ListEntry> BuildOneList(const InvertedIndex& inverted,
-                                    const ForwardIndex& forward,
-                                    const PhraseDictionary& dict,
-                                    TermId term,
-                                    std::unordered_map<PhraseId, uint32_t>*
-                                        scratch_counts) {
-  scratch_counts->clear();
-  for (DocId d : inverted.docs(term)) {
-    for (PhraseId p : forward.Phrases(d, dict)) {
-      ++(*scratch_counts)[p];
+/// Per-thread scratch of the score-list builder: a dictionary-sized
+/// co-occurrence count array (all zero between builds, grow-only across
+/// engines), the ids touched by the current build, and the radix sort's
+/// second buffer.
+struct BuildScratch {
+  std::vector<uint32_t> counts;
+  std::vector<PhraseId> touched;
+  std::vector<ListEntry> buffer;
+};
+
+/// The radix sort key is (~bits(prob), phrase) in bytes: digits 0-3 are
+/// the phrase-id bytes (least significant first), digits 4-11 the bytes
+/// of ~bits(prob). Probabilities are positive, where the bit pattern
+/// orders like the value and equal values have equal bits, so ascending
+/// key order is exactly (prob desc, phrase asc).
+constexpr int kIdDigits = sizeof(PhraseId);
+constexpr int kKeyDigits = kIdDigits + sizeof(uint64_t);
+
+/// Byte `d` of an entry's sort key.
+uint32_t Digit(const ListEntry& e, int d) {
+  if (d < kIdDigits) return (e.phrase >> (8 * d)) & 0xff;
+  return (~std::bit_cast<uint64_t>(e.prob) >> (8 * (d - kIdDigits))) & 0xff;
+}
+
+/// Stable LSD radix sort of `list` into (prob desc, phrase asc) order,
+/// using `buffer` as the second array. All digit histograms come from one
+/// read of the list, and a digit every entry shares is skipped, so the
+/// cost is O(list length) per pass that can move anything.
+void RadixSortByScore(std::vector<ListEntry>* list,
+                      std::vector<ListEntry>* buffer) {
+  const std::size_t n = list->size();
+  if (n < 2) return;
+  std::array<std::array<uint32_t, 256>, kKeyDigits> hist{};
+  for (const ListEntry& e : *list) {
+    for (int d = 0; d < kKeyDigits; ++d) ++hist[d][Digit(e, d)];
+  }
+  buffer->resize(n);
+  ListEntry* src = list->data();
+  ListEntry* dst = buffer->data();
+  for (int d = 0; d < kKeyDigits; ++d) {
+    std::array<uint32_t, 256>& slot = hist[d];
+    if (slot[Digit(src[0], d)] == n) continue;
+    uint32_t offset = 0;
+    for (uint32_t& c : slot) {
+      const uint32_t count = c;
+      c = offset;
+      offset += count;
     }
+    for (std::size_t i = 0; i < n; ++i) dst[slot[Digit(src[i], d)]++] = src[i];
+    std::swap(src, dst);
   }
-  std::vector<ListEntry> list;
-  list.reserve(scratch_counts->size());
-  for (const auto& [phrase, count] : *scratch_counts) {
-    const uint32_t df = dict.df(phrase);
-    PM_CHECK_MSG(count <= df, "co-occurrence count exceeds phrase df");
-    if (count == 0) continue;  // Zero scores are omitted (Section 4.2.2).
-    list.push_back(ListEntry{phrase, static_cast<double>(count) / df});
-  }
-  std::sort(list.begin(), list.end(), [](const ListEntry& a, const ListEntry& b) {
-    if (a.prob != b.prob) return a.prob > b.prob;
-    return a.phrase < b.phrase;
-  });
-  return list;
+  if (src != list->data()) std::copy(src, src + n, list->data());
 }
 
 /// Entries in the partial-list prefix of a `size`-entry list: the top
@@ -55,12 +82,9 @@ WordScoreLists WordScoreLists::Build(const InvertedIndex& inverted,
                                      const PhraseDictionary& dict,
                                      std::span<const TermId> terms) {
   WordScoreLists result;
-  std::unordered_map<PhraseId, uint32_t> scratch;
   for (TermId t : terms) {
     if (result.lists_.contains(t)) continue;
-    result.lists_.emplace(t, std::make_shared<const std::vector<ListEntry>>(
-                                 BuildOneList(inverted, forward, dict, t,
-                                              &scratch)));
+    result.lists_.emplace(t, BuildOne(inverted, forward, dict, t));
   }
   return result;
 }
@@ -70,23 +94,43 @@ WordScoreLists WordScoreLists::BuildAll(const InvertedIndex& inverted,
                                         const PhraseDictionary& dict,
                                         uint32_t min_term_df) {
   WordScoreLists result;
-  std::unordered_map<PhraseId, uint32_t> scratch;
   for (TermId t = 0; t < inverted.num_terms(); ++t) {
     if (inverted.df(t) < min_term_df) continue;
-    result.lists_.emplace(t, std::make_shared<const std::vector<ListEntry>>(
-                                 BuildOneList(inverted, forward, dict, t,
-                                              &scratch)));
+    result.lists_.emplace(t, BuildOne(inverted, forward, dict, t));
   }
   return result;
 }
 
+// The one score-list builder: count phrase co-occurrences over docs(term)
+// in the dense per-thread array, normalize by df(p), and radix-sort by
+// (prob desc, id asc). The touched list supplies the ids, so the cost is
+// O(co-occurrences + list length), independent of the dictionary size.
 SharedWordList WordScoreLists::BuildOne(const InvertedIndex& inverted,
                                         const ForwardIndex& forward,
                                         const PhraseDictionary& dict,
                                         TermId term) {
-  std::unordered_map<PhraseId, uint32_t> scratch;
-  return std::make_shared<const std::vector<ListEntry>>(
-      BuildOneList(inverted, forward, dict, term, &scratch));
+  PM_CHECK_MSG(forward.storage() == ForwardStorage::kFull,
+               "word lists are built from the full forward index");
+  thread_local BuildScratch scratch;
+  std::vector<uint32_t>& counts = scratch.counts;
+  if (counts.size() < dict.size()) counts.resize(dict.size(), 0);
+  scratch.touched.clear();
+  for (DocId d : inverted.docs(term)) {
+    for (PhraseId p : forward.stored(d)) {
+      if (counts[p]++ == 0) scratch.touched.push_back(p);
+    }
+  }
+  // Zero scores are omitted (Section 4.2.2): only touched phrases enter.
+  std::vector<ListEntry> list;
+  list.reserve(scratch.touched.size());
+  for (PhraseId p : scratch.touched) {
+    const uint32_t df = dict.df(p);
+    PM_CHECK_MSG(counts[p] <= df, "co-occurrence count exceeds phrase df");
+    list.push_back(ListEntry{p, static_cast<double>(counts[p]) / df});
+    counts[p] = 0;  // Keep the array all-zero for the next build.
+  }
+  RadixSortByScore(&list, &scratch.buffer);
+  return std::make_shared<const std::vector<ListEntry>>(std::move(list));
 }
 
 std::span<const ListEntry> WordScoreLists::list(TermId term) const {

@@ -38,10 +38,14 @@ class WordScoreLists {
   WordScoreLists& operator=(const WordScoreLists&) = delete;
 
   /// Builds lists for the given terms only. Building a term's list costs
-  /// O(sum of forward-list lengths over docs(term)), so restricting to the
-  /// query workload's terms keeps preprocessing tractable on large corpora;
-  /// BuildAll covers every term for small corpora and for index-size
-  /// studies.
+  /// O(sum of forward-list lengths over docs(term) + list length): the
+  /// co-occurrences are counted in a per-thread dictionary-sized array
+  /// that only the touched ids are read back from and reset in, and the
+  /// entries are ordered by a radix sort, so the cost does not depend on
+  /// the dictionary size. Restricting to the query workload's terms keeps
+  /// preprocessing tractable on large corpora; BuildAll covers every term
+  /// for small corpora and for index-size studies. `forward` must be the
+  /// full (ForwardStorage::kFull) index.
   static WordScoreLists Build(const InvertedIndex& inverted,
                               const ForwardIndex& forward,
                               const PhraseDictionary& dict,

@@ -565,7 +565,7 @@ SharedWordList PhraseService::GetOrBuildScoreList(TermId term,
       });
   if (list == nullptr) return nullptr;
   word_list_cache_.Put(key, CachedWordList{list, nullptr},
-                       list->size() * kListEntryBytes + 64);
+                       list->size() * kListEntryInMemoryBytes + 64);
   return list;
 }
 
@@ -580,7 +580,7 @@ PhraseService::CachedWordList PhraseService::GetOrBuildIdList(
   const CachedWordList entry =
       WordIdOrderedLists::BuildRecord(*score, smj_fraction_);
   word_list_cache_.Put(key, entry,
-                       entry.entries->size() * kListEntryBytes +
+                       entry.entries->size() * kListEntryInMemoryBytes +
                            entry.soa->MemoryBytes() + 64);
   return entry;
 }

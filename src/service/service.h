@@ -60,6 +60,9 @@ struct PhraseServiceOptions {
   /// engine's global lock stays out of the NRA/SMJ hot path. The cached
   /// id-ordered (SMJ) lists are cut at the engine's smj_fraction() as of
   /// service construction (Section 4.4.1: fixed at construction time).
+  /// Each entry is charged the bytes its list occupies in RAM:
+  /// kListEntryInMemoryBytes per entry, plus the SoA view of an
+  /// id-ordered list and 64 bytes of bookkeeping.
   std::size_t word_list_cache_bytes = 64u << 20;
   /// When an Ingest crosses the engine's rebuild threshold, schedule a
   /// full MiningEngine::Rebuild on this service's thread pool (one at a

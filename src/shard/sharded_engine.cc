@@ -194,7 +194,7 @@ bool CountScatter(MiningEngine& engine, const Query& query,
     }
     std::vector<PhraseId> touched;
     for (DocId d : subset) {
-      for (PhraseId p : engine.forward().Phrases(d, engine.dict())) {
+      for (PhraseId p : engine.forward().stored(d)) {
         if (counts[p] == 0) touched.push_back(p);
         ++counts[p];
         ++out->entries_read;
@@ -347,7 +347,7 @@ bool CountFill(MiningEngine& engine, const Query& query,
           EvalSubCollection(query, engine.inverted());
       *subcollection = subset.size();
       for (DocId d : subset) {
-        for (PhraseId p : engine.forward().Phrases(d, engine.dict())) {
+        for (PhraseId p : engine.forward().stored(d)) {
           auto it = slot.find(p);
           if (it != slot.end()) ++(*out)[it->second].freq_subset;
         }

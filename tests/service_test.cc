@@ -13,6 +13,7 @@
 #include "core/engine.h"
 #include "eval/query_gen.h"
 #include "gtest/gtest.h"
+#include "index/word_lists.h"
 #include "service/cache.h"
 #include "service/service.h"
 #include "shard/sharded_engine.h"
@@ -480,6 +481,95 @@ TEST(ServiceTest, ConcurrentEngineMineIsSafe) {
                         "thread " + std::to_string(t));
     }
   }
+}
+
+TEST(ServiceTest, WordListCacheChargesResidentBytes) {
+  // A cached score list is charged what it occupies in RAM: sizeof
+  // (ListEntry) per entry (the padded AoS entry, not the packed 12-byte
+  // on-disk figure) plus 64 bytes of bookkeeping.
+  MiningEngine engine = testing::MakeTinyEngine();
+  PhraseService service(&engine, PhraseServiceOptions{});
+  const Query q = Parse(service, "db", QueryOperator::kAnd);
+  ASSERT_EQ(q.terms.size(), 1u);
+  ServiceReply reply =
+      service.MineSync(ServiceRequest{q, MineOptions{}, Algorithm::kNra});
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+
+  const std::size_t len =
+      WordScoreLists::BuildOne(engine.inverted(), engine.forward(),
+                               engine.dict(), q.terms[0])
+          ->size();
+  ASSERT_GT(len, 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.word_list_cache.entries, 1u);
+  EXPECT_EQ(stats.word_list_cache.bytes, len * sizeof(ListEntry) + 64);
+}
+
+TEST(ServiceTest, ConcurrentColdListBuildsUnderEvictionMatchSerialEngine) {
+  // Four clients mine NRA over overlapping never-seen terms through a
+  // word-list cache too small to keep them, so the same lists are built,
+  // evicted and rebuilt concurrently; every reply must stay bitwise equal
+  // to the serial engine.
+  MiningEngine serving = testing::MakeSmallEngine(400);
+  MiningEngine reference = testing::MakeSmallEngine(400);
+
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < reference.inverted().num_terms() && terms.size() < 24;
+       ++t) {
+    if (reference.inverted().df(t) >= 5) terms.push_back(t);
+  }
+  ASSERT_GE(terms.size(), 8u);
+  std::vector<Query> workload;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    workload.push_back(Query{{terms[i]}, QueryOperator::kAnd});
+    const TermId next = terms[(i + 1) % terms.size()];
+    workload.push_back(Query{{terms[i], next}, i % 2 == 0
+                                                   ? QueryOperator::kAnd
+                                                   : QueryOperator::kOr});
+  }
+  std::vector<MineResult> expected;
+  for (const Query& q : workload) {
+    expected.push_back(reference.Mine(CanonicalizeQuery(q), Algorithm::kNra));
+  }
+
+  PhraseServiceOptions options;
+  options.pool.num_threads = 1;
+  options.enable_result_cache = false;
+  options.word_list_cache_bytes = 16u << 10;
+  PhraseService service(&serving, options);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<ServiceReply>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&service, &workload, &got, t] {
+        // Each client starts at a different point of the same workload,
+        // so the clients overlap on terms without moving in lockstep.
+        const std::size_t n = workload.size();
+        for (std::size_t j = 0; j < n; ++j) {
+          const Query& q = workload[(j + t * n / kThreads) % n];
+          got[t].push_back(service.MineSync(
+              ServiceRequest{q, MineOptions{}, Algorithm::kNra}));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::size_t n = workload.size();
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = (j + t * n / kThreads) % n;
+      const ServiceReply& reply = got[t][j];
+      ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+      ExpectSameResults(expected[i], reply.result,
+                        "thread " + std::to_string(t) + " query " +
+                            std::to_string(i));
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.word_list_cache.evictions, 0u);
+  EXPECT_EQ(stats.result_cache.hits, 0u);
 }
 
 }  // namespace
