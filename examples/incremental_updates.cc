@@ -56,7 +56,10 @@ int main() {
       engine.corpus().vocab().Lookup("talks")});
   double base_prob = 0.0;
   engine.EnsureWordLists(std::vector<TermId>{bank});
-  for (const ListEntry& e : engine.word_lists().list(bank)) {
+  // word_lists() is a snapshot of the engine's store; hold it while its
+  // lists are read.
+  const WordScoreLists lists = engine.word_lists();
+  for (const ListEntry& e : lists.list(bank)) {
     if (e.phrase == merger_talks) base_prob = e.prob;
   }
   std::printf("\nP(bank | \"merger talks\") in the stored list: %.3f\n",

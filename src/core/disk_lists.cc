@@ -75,20 +75,20 @@ std::unordered_set<TermId> DiskResidentLists::ResidentSet(
   return resident;
 }
 
-DiskResidentLists::DiskResidentLists(const WordScoreLists& lists,
+DiskResidentLists::DiskResidentLists(WordScoreLists lists,
                                      const PhraseListFile& phrase_file,
                                      const InvertedIndex& inverted,
                                      DiskTierOptions options,
                                      std::unique_ptr<DiskBackend> device,
                                      MappedListLayout layout)
-    : lists_(lists),
+    : lists_(std::move(lists)),
       phrase_file_(phrase_file),
       options_(options),
       device_(device != nullptr
                   ? std::move(device)
                   : std::make_unique<SimulatedDisk>(options.disk)),
       layout_(std::move(layout)),
-      resident_(ResidentSet(lists, inverted, options.resident_budget_bytes,
+      resident_(ResidentSet(lists_, inverted, options.resident_budget_bytes,
                             options_.observed_popularity.get())) {
   PlaceAndRegister();
 }

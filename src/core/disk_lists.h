@@ -87,12 +87,14 @@ struct MappedListLayout {
 class DiskResidentLists {
  public:
   /// Places `lists` on the tier under `options`, using `inverted` for
-  /// the term-df hotness order of the spill policy. When `device` is
+  /// the term-df hotness order of the spill policy. The tier owns `lists`
+  /// (MiningEngine hands it a snapshot of its store's resident lists, so
+  /// an eviction never pulls a list from under a placed tier). When `device` is
   /// null a SimulatedDisk over options.disk is created (modeled tier);
   /// otherwise the given backend is used, with `layout` mapping each
   /// structure to its on-device offsets (ranges without layout entries
   /// are registered unbacked and accounted arithmetically).
-  DiskResidentLists(const WordScoreLists& lists,
+  DiskResidentLists(WordScoreLists lists,
                     const PhraseListFile& phrase_file,
                     const InvertedIndex& inverted, DiskTierOptions options,
                     std::unique_ptr<DiskBackend> device = nullptr,
@@ -183,7 +185,7 @@ class DiskResidentLists {
   /// the on-device offsets of backed ranges.
   void PlaceAndRegister();
 
-  const WordScoreLists& lists_;
+  WordScoreLists lists_;
   const PhraseListFile& phrase_file_;
   DiskTierOptions options_;
   std::unique_ptr<DiskBackend> device_;

@@ -60,6 +60,21 @@ PhraseDictionary CloneSetWithCorpusDfs(const PhraseDictionary& set,
   return dict;
 }
 
+/// Lock shards of the word-list store.
+constexpr std::size_t kListStoreShards = 8;
+
+/// Bytes a store entry occupies in RAM: kListEntryInMemoryBytes per entry
+/// of the score list and of the id-ordered record, the record's SoA view,
+/// and 64 bytes of bookkeeping.
+std::size_t ListCharge(const TermLists& lists) {
+  std::size_t bytes = lists.score->size() * kListEntryInMemoryBytes + 64;
+  if (lists.ids.entries != nullptr) {
+    bytes += lists.ids.entries->size() * kListEntryInMemoryBytes +
+             lists.ids.soa->MemoryBytes();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
@@ -130,8 +145,9 @@ MiningEngine MiningEngine::Build(Corpus corpus, Options options) {
       engine.corpus_, engine.dict_, ForwardStorage::kPrefixCompressed);
   engine.phrase_file_ =
       PhraseListFile::Build(engine.dict_, engine.corpus_.vocab());
-  engine.word_lists_ = std::make_unique<WordScoreLists>();
-  engine.id_lists_ = WordIdOrderedLists(options.default_smj_fraction);
+  engine.store_ = std::make_unique<ShardedLruCache<TermId, SharedTermLists>>(
+      kListStoreShards, options.word_list_store_bytes);
+  engine.smj_fraction_ = options.default_smj_fraction;
   if (!options.persist_path.empty()) {
     engine.persist_status_ = engine.SaveToFile(options.persist_path);
   }
@@ -160,7 +176,7 @@ Status MiningEngine::SaveToFile(const std::string& path) const {
   writer.AddSection(IndexSection::kPhraseListFile, SerializeSection([&](
       BinaryWriter* w) { phrase_file_.Serialize(w); }));
   writer.AddSection(IndexSection::kWordScoreLists, SerializeSection([&](
-      BinaryWriter* w) { word_lists_->Serialize(w); }));
+      BinaryWriter* w) { ResidentListsLocked().Serialize(w); }));
   return writer.WriteTo(path);
 }
 
@@ -235,8 +251,15 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
     Result<WordScoreLists> part =
         WordScoreLists::Deserialize(&*reader, &local);
     if (!part.ok()) return part.status();
-    engine.word_lists_ =
-        std::make_unique<WordScoreLists>(std::move(part.value()));
+    engine.store_ = std::make_unique<ShardedLruCache<TermId, SharedTermLists>>(
+        kListStoreShards, options.word_list_store_bytes);
+    std::vector<TermId> terms = part.value().Terms();
+    std::sort(terms.begin(), terms.end());
+    for (TermId t : terms) {
+      auto lists = std::make_shared<TermLists>();
+      lists->score = part.value().shared(t);
+      engine.store_->Put(t, lists, ListCharge(*lists));
+    }
     // Rebase the captured entry runs from section-local to absolute file
     // offsets: these are the byte ranges the measured disk tier serves.
     const uint64_t base = file->section_offset(IndexSection::kWordScoreLists);
@@ -248,7 +271,7 @@ Result<MiningEngine> MiningEngine::LoadFromFile(const std::string& path,
       file->section_offset(IndexSection::kPhraseListFile) +
       PhraseListFile::kSerializedSlotsOffset;
   engine.index_file_ = std::move(file);
-  engine.id_lists_ = WordIdOrderedLists(options.default_smj_fraction);
+  engine.smj_fraction_ = options.default_smj_fraction;
   return engine;
 }
 
@@ -273,41 +296,76 @@ const PhrasePostingIndex& MiningEngine::PostingsLocked() {
   return *postings_;
 }
 
-void MiningEngine::EnsureWordLists(std::span<const TermId> terms) {
-  // Retried when a rebuild swaps the base structures mid-build: lists
-  // built from a previous generation must not be merged into the new one.
-  for (;;) {
-    uint64_t generation;
-    std::vector<TermId> missing;
-    {
-      std::shared_lock lock(sync_->lists_mu);
-      generation = generation_;
-      for (TermId t : terms) {
-        if (!word_lists_->Has(t)) missing.push_back(t);
+MiningEngine::StoredLists MiningEngine::Lists(std::span<const TermId> terms,
+                                              bool records) {
+  std::shared_lock lock(sync_->lists_mu);
+  StoredLists out;
+  out.generation = generation_;
+  out.structure_version = structure_version_;
+  out.fraction = smj_fraction_;
+  out.lists = ListsLocked(terms, records);
+  return out;
+}
+
+std::vector<SharedTermLists> MiningEngine::ListsLocked(
+    std::span<const TermId> terms, bool records) {
+  std::vector<SharedTermLists> out;
+  out.reserve(terms.size());
+  for (TermId t : terms) {
+    SharedTermLists entry = store_->Get(t).value_or(nullptr);
+    if (entry == nullptr || (records && entry->ids.entries == nullptr)) {
+      // Built under the caller's shared structure lock, so the source
+      // indexes cannot be swapped mid-build, and inserted under it, so a
+      // rebuild (which empties the store under the exclusive lock) can
+      // never receive an entry built from the structures it replaced.
+      auto built = std::make_shared<TermLists>();
+      built->score = entry != nullptr ? entry->score
+                                      : WordScoreLists::BuildOne(
+                                            inverted_, forward_full_, dict_, t);
+      if (records) {
+        built->ids = WordIdOrderedLists::BuildRecord(*built->score,
+                                                     smj_fraction_);
       }
+      store_->Put(t, built, ListCharge(*built));
+      entry = std::move(built);
     }
-    if (missing.empty()) return;
-    // Build under the shared lock so concurrent mines keep running but a
-    // rebuild cannot swap the source indexes away mid-build; two threads
-    // racing on the same term both build it, and Merge keeps the first
-    // copy (lists for a term are identical by construction).
-    WordScoreLists built;
-    {
-      std::shared_lock lock(sync_->lists_mu);
-      if (generation_ != generation) continue;
-      built = WordScoreLists::Build(inverted_, forward_full_, dict_, missing);
-    }
-    {
-      std::unique_lock lock(sync_->lists_mu);
-      if (generation_ != generation) continue;
-      const std::size_t before = word_lists_->num_terms();
-      word_lists_->Merge(std::move(built));
-      // The disk tier is laid out over the whole built-list set; the
-      // id-ordered records are per term and stay valid.
-      if (word_lists_->num_terms() != before) disk_lists_.reset();
-      return;
-    }
+    out.push_back(std::move(entry));
   }
+  return out;
+}
+
+std::optional<std::size_t> MiningEngine::StoredListLength(TermId term) const {
+  const std::optional<SharedTermLists> entry = store_->Peek(term);
+  if (!entry.has_value()) return std::nullopt;
+  return (*entry)->score->size();
+}
+
+WordScoreLists MiningEngine::ResidentListsLocked() const {
+  WordScoreLists snapshot;
+  store_->ForEach([&](TermId t, const SharedTermLists& lists) {
+    snapshot.Insert(t, lists->score);
+  });
+  return snapshot;
+}
+
+WordScoreLists MiningEngine::word_lists() const {
+  std::shared_lock lock(sync_->lists_mu);
+  return ResidentListsLocked();
+}
+
+WordIdOrderedLists MiningEngine::id_ordered_lists() const {
+  std::shared_lock lock(sync_->lists_mu);
+  WordIdOrderedLists snapshot(smj_fraction_);
+  store_->ForEach([&](TermId t, const SharedTermLists& lists) {
+    if (lists->ids.entries != nullptr) {
+      snapshot.Insert(t, lists->ids.entries, lists->ids.soa);
+    }
+  });
+  return snapshot;
+}
+
+void MiningEngine::EnsureWordLists(std::span<const TermId> terms) {
+  Lists(terms, /*records=*/false);
 }
 
 void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
@@ -319,50 +377,24 @@ void MiningEngine::EnsureWordListsFor(std::span<const Query> queries) {
 }
 
 void MiningEngine::EnsureIdOrderedLists(std::span<const TermId> terms) {
-  // The EnsureWordLists loop one level up: find the missing records
-  // under the shared lock, build them without blocking anyone, insert
-  // under the exclusive lock unless a rebuild or a fraction change moved
-  // the store on meanwhile. The sharded scatter/fill rounds call this per
-  // shard per query, so the common all-present case never takes the
-  // exclusive lock.
-  for (;;) {
-    EnsureWordLists(terms);
-    uint64_t generation;
-    double fraction;
-    std::vector<std::pair<TermId, SharedWordList>> missing;
-    {
-      std::shared_lock lock(sync_->lists_mu);
-      generation = generation_;
-      fraction = id_lists_.fraction();
-      for (TermId t : terms) {
-        if (!id_lists_.Has(t)) missing.emplace_back(t, word_lists_->shared(t));
-      }
-    }
-    if (missing.empty()) return;
-    std::vector<WordIdOrderedLists::Record> built;
-    built.reserve(missing.size());
-    for (const auto& [t, score] : missing) {
-      // Absent only if a rebuild swapped the score lists in between.
-      if (score == nullptr) break;
-      built.push_back(WordIdOrderedLists::BuildRecord(*score, fraction));
-    }
-    if (built.size() != missing.size()) continue;
-    std::unique_lock lock(sync_->lists_mu);
-    if (generation_ != generation || id_lists_.fraction() != fraction) {
-      continue;
-    }
-    // Two threads racing on a term both build it; Insert keeps the first
-    // (records for a term are identical by construction).
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      id_lists_.Insert(missing[i].first, std::move(built[i].entries),
-                       std::move(built[i].soa));
-    }
-    return;
-  }
+  Lists(terms, /*records=*/true);
 }
 
-DiskResidentLists& MiningEngine::EnsureDiskTierLocked() {
-  if (disk_lists_ == nullptr) {
+DiskResidentLists& MiningEngine::EnsureDiskTierLocked(
+    std::span<const TermId> terms, std::span<const SharedTermLists> lists) {
+  // The tier is laid out over a snapshot of the resident lists, so it
+  // re-places whenever the store's membership moved on (an insert or an
+  // eviction) and whenever the query's own lists are not in it.
+  const uint64_t changes = store_->changes();
+  bool stale = disk_lists_ == nullptr || disk_lists_changes_ != changes;
+  for (std::size_t i = 0; i < terms.size() && !stale; ++i) {
+    stale = !disk_lists_->lists().Has(terms[i]);
+  }
+  if (stale) {
+    WordScoreLists snapshot = ResidentListsLocked();
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      snapshot.Insert(terms[i], lists[i]->score);
+    }
     // Loaded engines back the tier with the mapped index file: reads
     // fault the structures' real bytes and the stats are measured.
     // Built-in-memory engines fall back to the modeled SimulatedDisk.
@@ -371,17 +403,19 @@ DiskResidentLists& MiningEngine::EnsureDiskTierLocked() {
       device = std::make_unique<MappedDisk>(index_file_.get());
     }
     disk_lists_ = std::make_unique<DiskResidentLists>(
-        *word_lists_, phrase_file_, inverted_,
+        std::move(snapshot), phrase_file_, inverted_,
         DiskTierOptions{options_.disk, options_.disk_resident_budget,
                         term_popularity_},
         std::move(device), mapped_layout_);
+    disk_lists_changes_ = changes;
   }
   return *disk_lists_;
 }
 
 void MiningEngine::SetSmjFraction(double fraction) {
   std::unique_lock lock(sync_->lists_mu);
-  id_lists_ = WordIdOrderedLists(fraction);
+  smj_fraction_ = fraction;
+  store_->Clear();
 }
 
 void MiningEngine::SetDiskResidentBudget(uint64_t budget_bytes) {
@@ -404,21 +438,22 @@ void MiningEngine::SetTermPopularity(
 
 std::shared_ptr<const std::unordered_set<TermId>>
 MiningEngine::ResidentSetLocked() const {
-  // Key fields are stable under the caller's shared structure lock
-  // (generation_ writers hold lists_mu exclusively; word-list merges and
-  // budget changes do too); resident_mu only serializes memo updates
-  // between concurrent planners.
+  // Key fields other than the store's change count are stable under the
+  // caller's shared structure lock (generation_, budget and popularity
+  // writers hold lists_mu exclusively); the count is read before the
+  // snapshot, so a concurrent insert only forces one more recompute.
+  // resident_mu serializes memo updates between concurrent planners.
   const uint64_t budget = options_.disk_resident_budget;
-  const std::size_t terms = word_lists_->num_terms();
   std::scoped_lock memo_lock(sync_->resident_mu);
+  const uint64_t changes = store_->changes();
   if (resident_memo_ == nullptr || resident_memo_generation_ != generation_ ||
-      resident_memo_terms_ != terms || resident_memo_budget_ != budget ||
+      resident_memo_changes_ != changes || resident_memo_budget_ != budget ||
       resident_memo_popularity_ != popularity_version_) {
     resident_memo_ = std::make_shared<const std::unordered_set<TermId>>(
-        DiskResidentLists::ResidentSet(*word_lists_, inverted_, budget,
-                                       term_popularity_.get()));
+        DiskResidentLists::ResidentSet(ResidentListsLocked(), inverted_,
+                                       budget, term_popularity_.get()));
     resident_memo_generation_ = generation_;
-    resident_memo_terms_ = terms;
+    resident_memo_changes_ = changes;
     resident_memo_budget_ = budget;
     resident_memo_popularity_ = popularity_version_;
   }
@@ -427,31 +462,14 @@ MiningEngine::ResidentSetLocked() const {
 
 MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
                               const MineOptions& options) {
-  const bool needs_lists = algorithm == Algorithm::kNra ||
-                           algorithm == Algorithm::kNraDisk ||
-                           algorithm == Algorithm::kSmj;
-  // Acquire the shared structure lock for the whole mine, (re)building the
-  // inputs the algorithm needs first. The loop restarts when a concurrent
-  // rebuild swaps the structures between the build step and the lock.
-  const bool needs_records = algorithm == Algorithm::kSmj;
-  std::shared_lock lock(sync_->lists_mu, std::defer_lock);
-  for (;;) {
-    if (needs_records) {
-      EnsureIdOrderedLists(query.terms);
-    } else if (needs_lists) {
-      EnsureWordLists(query.terms);
-    }
-    lock.lock();
-    bool have_all = true;
-    for (TermId t : query.terms) {
-      if ((needs_lists && !word_lists_->Has(t)) ||
-          (needs_records && !id_lists_.Has(t))) {
-        have_all = false;
-        break;
-      }
-    }
-    if (have_all) break;
-    lock.unlock();
+  // The shared structure lock is held for the whole mine, so a concurrent
+  // rebuild can neither swap the structures nor empty the store mid-run;
+  // the query's lists are taken (and built if missing) under it.
+  std::shared_lock lock(sync_->lists_mu);
+  std::vector<SharedTermLists> lists;
+  if (algorithm == Algorithm::kNra || algorithm == Algorithm::kNraDisk ||
+      algorithm == Algorithm::kSmj) {
+    lists = ListsLocked(query.terms, algorithm == Algorithm::kSmj);
   }
 
   // Fetched under the shared lock, so the overlay is consistent with the
@@ -495,31 +513,40 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
       break;
     }
     case Algorithm::kNra: {
-      NraMiner miner(*word_lists_, dict_);
+      WordScoreLists bundle;
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        bundle.Insert(query.terms[i], lists[i]->score);
+      }
+      NraMiner miner(bundle, dict_);
       result = miner.Mine(query, effective);
       break;
     }
     case Algorithm::kNraDisk: {
       // disk_mu serializes the whole mine (the device accumulates charged
-      // or measured I/O); the shared structure lock keeps a concurrent
-      // merge or rebuild from resetting disk_lists_ mid-mine.
+      // or measured I/O) and the tier's re-placement; the shared
+      // structure lock keeps a concurrent rebuild from resetting
+      // disk_lists_ mid-mine.
       std::scoped_lock disk_lock(sync_->disk_mu);
-      NraMiner miner(&EnsureDiskTierLocked(), dict_);
+      NraMiner miner(&EnsureDiskTierLocked(query.terms, lists), dict_);
       result = miner.Mine(query, effective);
       break;
     }
     case Algorithm::kSmj: {
-      if (effective.delta != nullptr) {
-        WordIdOrderedLists bundle(id_lists_.fraction());
-        for (TermId t : query.terms) {
-          effective.delta->InsertOverlaid(t, id_lists_.record(t), &bundle);
+      // Under a pending overlay each record is merged with its term's
+      // delta-only entries; otherwise the bundle shares the stored runs
+      // and SoA views as they are.
+      WordIdOrderedLists bundle(smj_fraction_);
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        if (effective.delta != nullptr) {
+          effective.delta->InsertOverlaid(query.terms[i], lists[i]->ids,
+                                          &bundle);
+        } else {
+          bundle.Insert(query.terms[i], lists[i]->ids.entries,
+                        lists[i]->ids.soa);
         }
-        SmjMiner miner(bundle, dict_);
-        result = miner.Mine(query, effective);
-      } else {
-        SmjMiner miner(id_lists_, dict_);
-        result = miner.Mine(query, effective);
       }
+      SmjMiner miner(bundle, dict_);
+      result = miner.Mine(query, effective);
       if (options_.disk_backed) {
         // Disk-backed SMJ streams each spilled list through the tier as
         // one sequential scan of its construction prefix (Section 4.4.1:
@@ -528,13 +555,13 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
         // the NRA-disk protocol, and the cold-cache-per-query rule of
         // the tier applies here too.
         std::scoped_lock disk_lock(sync_->disk_mu);
-        DiskResidentLists& tier = EnsureDiskTierLocked();
+        DiskResidentLists& tier = EnsureDiskTierLocked(query.terms, lists);
         tier.device().Reset();  // Cold cache per query.
         tier.BeginQuery(effective.cancel);
         std::unordered_set<TermId> charged;
-        for (TermId t : query.terms) {
-          if (!charged.insert(t).second) continue;
-          tier.ChargeListScan(t, id_lists_.list(t).size());
+        for (std::size_t i = 0; i < lists.size(); ++i) {
+          if (!charged.insert(query.terms[i]).second) continue;
+          tier.ChargeListScan(query.terms[i], lists[i]->ids.entries->size());
         }
         const DiskStats& stats = tier.device().stats();
         result.disk_ms = stats.cost_ms;
@@ -566,7 +593,7 @@ MineResult MiningEngine::Mine(const Query& query, Algorithm algorithm,
   // PhraseService) stamps the epoch of the snapshot it passed in.
   if (!caller_delta) result.epoch = snap.epoch;
   result.guarantee = GuaranteeFor(algorithm, effective.delta != nullptr,
-                                  id_lists_.fraction() >= 1.0);
+                                  smj_fraction_ >= 1.0);
   return result;
 }
 
@@ -728,12 +755,8 @@ void MiningEngine::Rebuild() {
   }
 
   std::vector<TermId> warm_terms;
-  double fraction;
-  {
-    std::shared_lock lists_lock(sync_->lists_mu);
-    warm_terms = word_lists_->Terms();
-    fraction = id_lists_.fraction();
-  }
+  store_->ForEach(
+      [&](TermId t, const SharedTermLists&) { warm_terms.push_back(t); });
 
   // The expensive part runs against a private engine; readers are
   // untouched until the swap below. The persist path is cleared for the
@@ -743,6 +766,10 @@ void MiningEngine::Rebuild() {
   build_options.persist_path.clear();
   MiningEngine fresh = Build(std::move(updated), build_options);
   fresh.EnsureWordLists(warm_terms);
+  std::vector<std::pair<TermId, SharedTermLists>> warm;
+  fresh.store_->ForEach([&](TermId t, const SharedTermLists& lists) {
+    warm.emplace_back(t, lists);
+  });
 
   std::unique_lock lists_lock(sync_->lists_mu);
   std::unique_lock vocab_lock(sync_->vocab_mu);
@@ -752,8 +779,10 @@ void MiningEngine::Rebuild() {
   forward_full_ = std::move(fresh.forward_full_);
   forward_compressed_ = std::move(fresh.forward_compressed_);
   phrase_file_ = std::move(fresh.phrase_file_);
-  word_lists_ = std::move(fresh.word_lists_);
-  id_lists_ = WordIdOrderedLists(fraction);
+  // The store is emptied and refilled with the fresh lists rather than
+  // replaced, so its counters run on across rebuilds.
+  store_->Clear();
+  for (auto& [t, lists] : warm) store_->Put(t, lists, ListCharge(*lists));
   disk_lists_.reset();
   postings_.reset();
   exact_.reset();

@@ -5,12 +5,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
+#include "common/sharded_lru_cache.h"
 #include "core/delta_index.h"
 #include "core/disk_lists.h"
 #include "core/exact_miner.h"
@@ -174,6 +176,13 @@ struct MiningEngineOptions {
   /// Construction fraction used when an SMJ mine is issued before
   /// SetSmjFraction was called.
   double default_smj_fraction = 1.0;
+  /// Byte budget of the engine's word-list store (see MiningEngine): each
+  /// term's entry is charged what it occupies in RAM --
+  /// kListEntryInMemoryBytes per entry of its score list and of its
+  /// id-ordered record, plus the record's SoA view and 64 bytes of
+  /// bookkeeping -- and the least recently used terms are evicted once
+  /// the budget is exceeded. ShardedEngine hands it to every shard.
+  std::size_t word_list_store_bytes = 32u << 20;
   /// When non-empty, Build() persists the engine to this index file
   /// (storage/index_file.h page format) right after construction, and
   /// Rebuild() re-persists after every swap, so a restart can
@@ -194,12 +203,17 @@ struct MiningEngineOptions {
 /// phrase dictionary and every index, and routes Mine() calls to the five
 /// algorithms. Word-specific lists are built lazily per query term (they
 /// are the only index whose full materialization is quadratic-ish; see
-/// WordScoreLists::Build). Each term's id-ordered SMJ record (its
-/// score-ordered prefix at the construction fraction, re-sorted by id,
-/// plus its SoA view) is built lazily too, once, and kept: the store only
-/// grows. A record depends on its own term's list alone, so a new term
-/// never touches another term's record; only SetSmjFraction and Rebuild
-/// drop them.
+/// WordScoreLists::Build) into the engine's word-list store, the one
+/// owner of word lists in the library. The store keeps one TermLists
+/// entry per term: the score-ordered list, plus the id-ordered SMJ record
+/// (the score-ordered prefix at the construction fraction, re-sorted by
+/// id, with its SoA view) once a reader asked for it. It is a
+/// ShardedLruCache bounded by MiningEngineOptions::word_list_store_bytes:
+/// the least recently used terms are evicted and rebuilt on their next
+/// use. An entry depends on its own term alone, so a new term never
+/// touches another term's entry; SetSmjFraction and Rebuild empty the
+/// store. Lists() is the one read path: Mine(), the sharded scatter/fill
+/// rounds and the subscription layer all take their handles from it.
 ///
 /// Typical use:
 ///   MiningEngine engine = MiningEngine::Build(std::move(corpus));
@@ -220,33 +234,36 @@ struct MiningEngineOptions {
 /// resolve result phrases via PhraseText promptly or pin the epoch.
 ///
 /// Threading contract:
-///   * Mine(), ParseQuery(), PhraseText() and the const component accessors
-///     over eagerly built structures (corpus, dict, indexes, phrase file)
-///     may be called concurrently from any number of threads. Mine() holds
-///     a shared structure lock for its whole run, so a concurrent merge or
-///     rebuild can never invalidate structures in use. External component
-///     readers that must not race a rebuild swap should wrap their reads
-///     in WithSharedStructures.
+///   * Mine(), Lists(), ParseQuery(), PhraseText() and the const component
+///     accessors over eagerly built structures (corpus, dict, indexes,
+///     phrase file) may be called concurrently from any number of threads.
+///     Mine() holds a shared structure lock for its whole run and takes
+///     its update snapshot under it, so a concurrent rebuild can neither
+///     invalidate structures in use nor pair an old overlay with rebuilt
+///     lists. External component readers that must not race a rebuild
+///     swap should wrap their reads in WithSharedStructures.
 ///   * ApplyUpdate serializes on an update mutex, publishes a fresh
 ///     immutable DeltaIndex snapshot, and never blocks readers beyond a
 ///     brief snapshot-pointer swap. Rebuild holds the update mutex for its
 ///     whole build (ingest stalls, mining does not) and takes the
 ///     exclusive structure lock only for the final swap.
-///   * EnsureWordLists() and EnsureIdOrderedLists() may run concurrently
-///     with each other and with Mine(). Both build the missing terms'
-///     lists off the exclusive lock and insert them under it after a
-///     structure-generation check; inserting one term never moves or
-///     replaces another term's list.
-///   * Exception: word_lists() and id_ordered_lists() hand out the lazily
-///     grown containers without synchronization. Read them under
-///     WithSharedStructures, or while no Mine(), Ensure*Lists() or
-///     Rebuild() call can be in flight (tests, benchmarks,
-///     single-threaded preprocessing). PhraseService never reads them.
+///   * Lists(), Ensure*Lists() and Mine() build a missing entry under the
+///     shared structure lock and insert it into the internally locked
+///     store, so adding a term never takes the exclusive lock; Rebuild
+///     and SetSmjFraction empty the store under the exclusive lock, so an
+///     entry built from the old structures or fraction can never land
+///     after it.
+///     Two threads racing on a cold term both build it; the lists are
+///     identical, and the later insert simply refreshes the entry.
+///   * word_lists() and id_ordered_lists() return snapshots of the
+///     resident entries (shared handles, no list copies) taken under the
+///     shared structure lock: safe from any thread, but not from inside
+///     WithSharedStructures.
 ///   * Algorithms whose miners keep per-call scratch (kExact, kGm,
 ///     kSimitsis) serialize per algorithm; kNraDisk serializes on the
-///     shared SimulatedDisk. kNra and kSmj run fully in parallel once
-///     their lists exist -- these are the paper's serving algorithms and
-///     the ones PhraseService routes through its own cache.
+///     shared SimulatedDisk. kNra and kSmj run fully in parallel on
+///     per-query bundles of store handles -- these are the paper's
+///     serving algorithms.
 ///   * Structural mutations -- SetSmjFraction, moves (including assigning
 ///     a LoadFromFile result) -- require external exclusive access: no
 ///     concurrent Mine(), ApplyUpdate() or Rebuild() calls may be in
@@ -263,10 +280,10 @@ class MiningEngine {
   /// persist_status() for the outcome).
   static MiningEngine Build(Corpus corpus, Options options = {});
 
-  /// Persists the engine (corpus, dictionary, every index and the word
-  /// lists built so far) as one page-based index file -- a versioned,
-  /// checksummed superblock plus one typed section per structure
-  /// (storage/index_file.h) -- so later sessions can skip the
+  /// Persists the engine (corpus, dictionary, every index and the score
+  /// lists resident in the store) as one page-based index file -- a
+  /// versioned, checksummed superblock plus one typed section per
+  /// structure (storage/index_file.h) -- so later sessions can skip the
   /// extraction/indexing cost. Call EnsureWordLists first if the word
   /// lists should ride along (they back the measured disk tier after a
   /// reload).
@@ -276,7 +293,8 @@ class MiningEngine {
   /// (magic, version, endianness, checksums -- malformed input fails with
   /// Corruption, never crashes), decodes every section, and keeps the
   /// file mmapped so the disk tier can serve measured reads from the
-  /// mapped structure bytes (index_file(), MappedDisk).
+  /// mapped structure bytes (index_file(), MappedDisk). The persisted
+  /// score lists are admitted into the store in ascending term order.
   static Result<MiningEngine> LoadFromFile(const std::string& path,
                                            Options options = {});
 
@@ -300,11 +318,12 @@ class MiningEngine {
   Result<Query> ParseQuery(std::string_view text, QueryOperator op) const;
 
   /// Runs one of the algorithms. For kNra/kNraDisk/kSmj, the word lists of
-  /// the query terms are built on first use (that cost is preprocessing,
-  /// not query time, and is excluded from MineResult timings). When the
-  /// engine carries a pending update overlay and the caller did not supply
-  /// MineOptions::delta, the overlay is applied automatically; the result
-  /// is stamped with the epoch and the guarantee that held.
+  /// the query terms come from Lists(), built on first use or after an
+  /// eviction (that cost is preprocessing, not query time, and is
+  /// excluded from MineResult timings). When the engine carries a pending
+  /// update overlay and the caller did not supply MineOptions::delta, the
+  /// overlay is applied automatically; the result is stamped with the
+  /// epoch and the guarantee that held.
   MineResult Mine(const Query& query, Algorithm algorithm,
                   const MineOptions& options = {});
 
@@ -356,8 +375,8 @@ class MiningEngine {
   void InternTerms(std::span<const std::string> terms);
 
   /// Full offline rebuild over the live document set: re-extracts phrases,
-  /// rebuilds every index, re-materializes the word lists that were built
-  /// before, swaps everything in, clears the overlay and advances the
+  /// rebuilds every index, re-materializes the score lists of the terms
+  /// resident in the store, swaps everything in, clears the overlay and advances the
   /// epoch and the structure generation. Blocks ingest (ApplyUpdate) for
   /// its duration; concurrent mines keep running against the old
   /// structures until the final swap.
@@ -366,18 +385,18 @@ class MiningEngine {
   /// Current epoch: 0 at build time, +1 per ApplyUpdate and per Rebuild.
   uint64_t epoch() const;
 
-  /// Structure generation: bumped only by Rebuild. Cache layers keying
-  /// derived structures (word lists) by generation invalidate exactly when
-  /// the base indexes change.
+  /// Structure generation: bumped only by Rebuild. Readers pairing
+  /// derived structures (word lists, StoredLists::generation) with base
+  /// structure reads compare it to detect a rebuild in between.
   uint64_t list_generation() const;
 
   /// Process-unique id of the current structure set: assigned at
   /// construction (every Build/LoadFromFile) and reassigned by every
   /// Rebuild. Unlike list_generation() -- which restarts at 0 for every
   /// new engine instance -- this value never repeats within a process, so
-  /// caches that may outlive an engine replacement (the subscription
-  /// layer's base-list cache across a ShardedEngine dictionary refresh,
-  /// which swaps in whole new shard engines) can key on it safely.
+  /// state that may outlive an engine replacement (the subscription
+  /// layer's per-event structure check across a ShardedEngine dictionary
+  /// refresh, which swaps in whole new shard engines) can key on it.
   uint64_t structure_version() const;
 
   /// Immutable snapshot of the update state for lock-free delta-corrected
@@ -397,27 +416,51 @@ class MiningEngine {
     return fn();
   }
 
+  // --- Word-list store ------------------------------------------------------
+
+  /// A query's word lists as Lists() hands them out: one store entry per
+  /// requested term (aligned with the request), plus the structure they
+  /// belong to, which callers pairing them with other engine reads check
+  /// against their own snapshot.
+  struct StoredLists {
+    uint64_t generation = 0;
+    uint64_t structure_version = 0;
+    /// Construction fraction of the id-ordered records.
+    double fraction = 1.0;
+    std::vector<SharedTermLists> lists;
+  };
+
+  /// The store's entries for `terms`, building and admitting any that are
+  /// missing; with `records` every entry also carries its id-ordered SMJ
+  /// record. The handles stay valid however long the caller holds them,
+  /// evictions and rebuilds included.
+  StoredLists Lists(std::span<const TermId> terms, bool records);
+
+  /// Counters of the word-list store: hits, misses, evictions, resident
+  /// entries and bytes against the budget.
+  CacheStats list_store_stats() const { return store_->stats(); }
+
+  /// Length of a term's stored score list; nullopt when the store holds
+  /// none. A peek: it moves no LRU order and no hit counter, so planning
+  /// never pollutes the serving hit rate.
+  std::optional<std::size_t> StoredListLength(TermId term) const;
+
   // --- Preprocessing control --------------------------------------------------
 
-  /// Ensures word-specific score lists exist for these terms.
+  /// Warms the store with these terms' score lists.
   void EnsureWordLists(std::span<const TermId> terms);
 
-  /// Ensures lists exist for every term of every query (harness helper).
+  /// Warms the store for every term of every query (harness helper).
   void EnsureWordListsFor(std::span<const Query> queries);
 
-  /// Ensures the id-ordered SMJ records (run plus SoA kernel view) exist
-  /// for these terms at the current construction fraction, building
-  /// their score lists first if needed -- the same records an SMJ mine
-  /// builds on first use. Only the missing terms' records are built;
-  /// existing records are never touched. ShardedEngine's list
-  /// scatter/fill rounds and the subscription layer read the records
-  /// through id_ordered_lists() after calling this.
+  /// Warms the store with these terms' id-ordered SMJ records (run plus
+  /// SoA kernel view) at the current construction fraction, building
+  /// their score lists first if needed.
   void EnsureIdOrderedLists(std::span<const TermId> terms);
 
   /// Sets the SMJ construction fraction (Section 4.4.1: a
-  /// construction-time decision) and drops every id-ordered record; the
-  /// next SMJ mine or EnsureIdOrderedLists call rebuilds the records it
-  /// needs at the new fraction.
+  /// construction-time decision) and empties the store; the next mine
+  /// rebuilds the entries it needs, records at the new fraction.
   void SetSmjFraction(double fraction);
 
   /// Re-budgets the disk tier at runtime: the next kNraDisk mine lazily
@@ -453,17 +496,18 @@ class MiningEngine {
     return term_popularity_;
   }
 
-  /// The spill policy's placement over the currently built word lists
-  /// at the current resident budget -- exactly what the next kNraDisk
-  /// mine will pin (DiskResidentLists::ResidentSet). Memoized: the
-  /// O(T log T) policy recomputes only when the built-list set, the
-  /// structure generation or the budget changed, so the planner can
-  /// call this per query on the serving path. Caller must hold the
-  /// shared structure lock (WithSharedStructures).
+  /// The spill policy's placement over the score lists resident in the
+  /// store at the current resident budget -- what the next kNraDisk mine
+  /// will pin when its own lists are resident already
+  /// (DiskResidentLists::ResidentSet). Memoized: the O(T log T) policy
+  /// recomputes only when the store's membership, the structure
+  /// generation or the budget changed, so the planner can call this per
+  /// query on the serving path. Caller must hold the shared structure
+  /// lock (WithSharedStructures).
   std::shared_ptr<const std::unordered_set<TermId>> ResidentSetLocked() const;
   double smj_fraction() const {
-    std::shared_lock lock(sync_->lists_mu);  // Rebuild() rewrites it
-    return id_lists_.fraction();
+    std::shared_lock lock(sync_->lists_mu);
+    return smj_fraction_;
   }
 
   // --- Component access (benchmarks, tests) ----------------------------------
@@ -477,15 +521,14 @@ class MiningEngine {
   const ForwardIndex& forward() const { return forward_full_; }
   const ForwardIndex& forward_compressed() const { return forward_compressed_; }
   const PhraseListFile& phrase_file() const { return phrase_file_; }
-  /// Unsynchronized view of the lazily built word lists; see the class
-  /// threading contract before reading this concurrently.
-  const WordScoreLists& word_lists() const { return *word_lists_; }
+  /// Snapshot of the score lists resident in the store (shared handles,
+  /// no list copies); see the class threading contract.
+  WordScoreLists word_lists() const;
 
-  /// The per-term id-ordered SMJ records at the current fraction. Holds
-  /// a record for every term an SMJ mine or EnsureIdOrderedLists call
-  /// covered since the last SetSmjFraction/Rebuild. Read it under
-  /// WithSharedStructures; see the class threading contract.
-  const WordIdOrderedLists& id_ordered_lists() const { return id_lists_; }
+  /// Snapshot of the resident id-ordered SMJ records at the current
+  /// fraction: the stored terms an SMJ, fleet or subscription reader has
+  /// asked a record for. Same contract as word_lists().
+  WordIdOrderedLists id_ordered_lists() const;
 
   /// Phrase posting index, built lazily (only the Simitsis baseline uses
   /// it). Not rebuild-safe: the reference is invalidated by Rebuild().
@@ -498,9 +541,10 @@ class MiningEngine {
   struct Sync {
     /// Serializes ApplyUpdate and Rebuild against each other.
     std::mutex update_mu;
-    /// Guards word_lists_, id_lists_, disk_lists_ and -- on
-    /// a rebuild swap -- every base structure: shared for mining reads,
-    /// exclusive for list inserts, fraction changes and rebuild swaps.
+    /// Guards smj_fraction_, the store's contents against a rebuild and
+    /// -- on a rebuild swap -- every base structure: shared for mining
+    /// reads and store inserts, exclusive for fraction changes, tier
+    /// resets and rebuild swaps.
     std::shared_mutex lists_mu;
     /// Guards epoch_, generation_, delta_ and last_update_stats_.
     mutable std::mutex snapshot_mu;
@@ -509,7 +553,8 @@ class MiningEngine {
     mutable std::shared_mutex vocab_mu;
     /// Guards lazy construction of postings_.
     std::mutex postings_mu;
-    /// Serializes kNraDisk mines (the SimulatedDisk accumulates I/O).
+    /// Serializes kNraDisk mines (the SimulatedDisk accumulates I/O) and
+    /// the tier's re-placement under the shared structure lock.
     std::mutex disk_mu;
     /// Guards the memoized spill-policy placement (resident_memo_*).
     mutable std::mutex resident_mu;
@@ -525,11 +570,21 @@ class MiningEngine {
   /// counter starting at 1; 0 never occurs).
   static uint64_t NextStructureVersion();
 
-  /// Lazily constructs the disk tier over the current word lists. When
-  /// the engine was loaded from an index file the tier runs on a
-  /// MappedDisk over the mapping (measured I/O); otherwise on the modeled
+  /// Lists() under the caller's shared structure lock.
+  std::vector<SharedTermLists> ListsLocked(std::span<const TermId> terms,
+                                           bool records);
+
+  /// Snapshot of the store's resident score lists; caller holds lists_mu.
+  WordScoreLists ResidentListsLocked() const;
+
+  /// The disk tier over a snapshot of the resident score lists plus the
+  /// query's own `lists` (aligned with `terms`), re-placed whenever the
+  /// store's membership changed since the last placement. When the
+  /// engine was loaded from an index file the tier runs on a MappedDisk
+  /// over the mapping (measured I/O); otherwise on the modeled
   /// SimulatedDisk. Caller must hold lists_mu (shared) and disk_mu.
-  DiskResidentLists& EnsureDiskTierLocked();
+  DiskResidentLists& EnsureDiskTierLocked(std::span<const TermId> terms,
+                                          std::span<const SharedTermLists> lists);
 
   /// Lazy postings construction; caller must hold lists_mu (shared is
   /// enough -- postings_mu serializes the build itself).
@@ -557,10 +612,16 @@ class MiningEngine {
   Status persist_status_;
 
   std::unique_ptr<PhrasePostingIndex> postings_;  // lazy
-  std::unique_ptr<WordScoreLists> word_lists_;
-  /// Per-term SMJ records; its fraction() is the construction fraction.
-  WordIdOrderedLists id_lists_;
-  std::unique_ptr<DiskResidentLists> disk_lists_;     // lazy, tracks word_lists_
+  /// The word-list store (see the class comment), internally locked and
+  /// kept behind a pointer so the engine stays movable.
+  std::unique_ptr<ShardedLruCache<TermId, SharedTermLists>> store_;
+  /// Construction fraction of the stored id-ordered records.
+  double smj_fraction_ = 1.0;
+  /// Lazy disk tier and the store_->changes() reading it was placed at.
+  /// Placed under disk_mu + shared lists_mu, dropped under exclusive
+  /// lists_mu.
+  std::unique_ptr<DiskResidentLists> disk_lists_;
+  uint64_t disk_lists_changes_ = 0;
 
   /// Observed per-term query counts feeding the spill policy's hotness
   /// order (null = static df placement), plus a version bumped per
@@ -574,7 +635,7 @@ class MiningEngine {
   // structure lock).
   mutable std::shared_ptr<const std::unordered_set<TermId>> resident_memo_;
   mutable uint64_t resident_memo_generation_ = 0;
-  mutable std::size_t resident_memo_terms_ = 0;
+  mutable uint64_t resident_memo_changes_ = 0;
   mutable uint64_t resident_memo_budget_ = 0;
   mutable uint64_t resident_memo_popularity_ = 0;
 

@@ -85,8 +85,8 @@ class SoABlockList {
 };
 
 /// A shared immutable SoA view; built once per physical list and reusable
-/// across the engine's cached id-ordered lists, service cache entries and
-/// per-query bundles, exactly like SharedWordList.
+/// across the engine's stored id-ordered records and per-query bundles,
+/// exactly like SharedWordList.
 using SharedSoAList = std::shared_ptr<const SoABlockList>;
 
 }  // namespace phrasemine

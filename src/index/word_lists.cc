@@ -178,13 +178,6 @@ std::size_t WordScoreLists::InMemoryBytes(double fraction) const {
   return EntriesAt(fraction) * kListEntryInMemoryBytes;
 }
 
-void WordScoreLists::Merge(WordScoreLists&& other) {
-  for (auto& [term, list] : other.lists_) {
-    lists_.try_emplace(term, std::move(list));
-  }
-  other.lists_.clear();
-}
-
 std::vector<TermId> WordScoreLists::Terms() const {
   std::vector<TermId> terms;
   terms.reserve(lists_.size());

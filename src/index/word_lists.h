@@ -24,10 +24,10 @@ namespace phrasemine {
 /// to its top fraction gives the paper's "partial lists".
 ///
 /// Threading: individual lists are immutable after construction, and all
-/// const member functions are safe to call concurrently. Mutations (Merge,
-/// Insert) require exclusive access; MiningEngine serializes them behind
-/// its internal lock, and PhraseService builds per-query bundles that are
-/// never shared across threads.
+/// const member functions are safe to call concurrently. Insert requires
+/// exclusive access; MiningEngine assembles per-query
+/// bundles and snapshots of its store that are never shared across
+/// threads while they are filled.
 class WordScoreLists {
  public:
   WordScoreLists() = default;
@@ -58,8 +58,8 @@ class WordScoreLists {
                                  uint32_t min_term_df = 1);
 
   /// Builds the score-ordered list of a single term. This is the unit of
-  /// work the service-layer word-list cache stores and shares; the output
-  /// is byte-identical to the per-term lists produced by Build/BuildAll.
+  /// work MiningEngine's per-term store holds and shares; the output is
+  /// byte-identical to the per-term lists produced by Build/BuildAll.
   static SharedWordList BuildOne(const InvertedIndex& inverted,
                                  const ForwardIndex& forward,
                                  const PhraseDictionary& dict, TermId term);
@@ -97,12 +97,6 @@ class WordScoreLists {
 
   /// Terms that have lists, in unspecified order.
   std::vector<TermId> Terms() const;
-
-  /// Absorbs all lists of `other` (move). Lists for terms already present
-  /// are kept as-is; both sides were built from the same immutable corpus,
-  /// so they are identical anyway. Enables incremental extension of the
-  /// indexed term set as new query workloads arrive.
-  void Merge(WordScoreLists&& other);
 
   /// Per-term location of the packed 12-byte entry runs inside a
   /// serialized WordScoreLists payload, as captured by Deserialize:
@@ -152,7 +146,7 @@ class WordIdOrderedLists {
   WordIdOrderedLists() = default;
 
   /// Empty container pinned at a fraction, to be populated via Insert
-  /// (MiningEngine's per-term store, per-query bundles).
+  /// (per-query bundles, snapshots of MiningEngine's store).
   explicit WordIdOrderedLists(double fraction);
 
   WordIdOrderedLists(WordIdOrderedLists&&) = default;
@@ -174,8 +168,8 @@ class WordIdOrderedLists {
 
   /// Builds one term's record: the top `fraction` (ceil rounding, clamped
   /// to [0, 1]) of its score-ordered list, re-sorted by phrase id, and
-  /// that run's SoA view. The single per-term unit behind Build,
-  /// MiningEngine's per-term store and the service-layer list cache.
+  /// that run's SoA view. The single per-term unit behind Build and
+  /// MiningEngine's per-term store.
   static Record BuildRecord(std::span<const ListEntry> score_list,
                             double fraction);
 
@@ -205,7 +199,7 @@ class WordIdOrderedLists {
   /// term. When `soa` is null the SoA view is built here (an O(list)
   /// copy); pass the list's already-built view to make insertion O(1) --
   /// the per-query bundle paths do, so a bundle never re-packs a list the
-  /// engine or service already packed.
+  /// engine's store already packed.
   void Insert(TermId term, SharedWordList list, SharedSoAList soa = nullptr);
 
   double fraction() const { return fraction_; }
@@ -215,6 +209,17 @@ class WordIdOrderedLists {
   double fraction_ = 1.0;
   std::unordered_map<TermId, Record> lists_;
 };
+
+/// One term's entry in MiningEngine's word-list store: the score-ordered
+/// list, plus the id-ordered SMJ record at the store's construction
+/// fraction once an SMJ, fleet or subscription reader asked for one (both
+/// record handles stay null until then). Immutable once stored; readers
+/// hold it by shared_ptr, so an eviction never frees a list in use.
+struct TermLists {
+  SharedWordList score;
+  WordIdOrderedLists::Record ids;
+};
+using SharedTermLists = std::shared_ptr<const TermLists>;
 
 }  // namespace phrasemine
 

@@ -30,6 +30,9 @@ Query CanonicalizeQuery(const Query& query) {
 std::string ResultCacheKey(const Query& canonical_query, Algorithm algorithm,
                            const MineOptions& options, double smj_fraction,
                            uint64_t epoch, std::span<const uint64_t> shard_epochs) {
+  // Only SMJ reads the construction fraction; other keys must not vary
+  // with it.
+  if (algorithm != Algorithm::kSmj) smj_fraction = -1.0;
   char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "g%llu|a%d|o%d|k%zu|f%.17g|s%.17g|b%zu|e%d|m%d|t:",

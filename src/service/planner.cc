@@ -46,15 +46,8 @@ std::string PlanDecision::ToString() const {
   return out;
 }
 
-CostPlanner::CostPlanner(const MiningEngine* engine, PlannerOptions options,
-                         ListProbe probe)
-    : engine_(engine), options_(options), probe_(std::move(probe)) {
-  if (!probe_) {
-    probe_ = [engine](TermId term) -> std::optional<std::size_t> {
-      if (!engine->word_lists().Has(term)) return std::nullopt;
-      return engine->word_lists().list(term).size();
-    };
-  }
+CostPlanner::CostPlanner(const MiningEngine* engine, PlannerOptions options)
+    : engine_(engine), options_(options) {
   // Average forward-list length: each phrase contributes one entry to the
   // forward list of every document it occurs in, so the mean list length
   // is sum_p df(p) / |D|.
@@ -84,16 +77,14 @@ PlannerInputs CostPlanner::GatherInputs(const Query& query,
 PlannerInputs CostPlanner::GatherInputs(const Query& query,
                                         const MineOptions& options,
                                         const EpochDelta& snap) const {
-  return GatherInputs(*engine_, query, options, snap, avg_doc_phrases_,
-                      probe_);
+  return GatherInputs(*engine_, query, options, snap, avg_doc_phrases_);
 }
 
 PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
                                         const Query& query,
                                         const MineOptions& options,
                                         const EpochDelta& snap,
-                                        double avg_doc_phrases,
-                                        const ListProbe& probe) {
+                                        double avg_doc_phrases) {
   // The overlay corrects the document-frequency inputs, so selectivity
   // estimates stay honest as updates accumulate between rebuilds. The
   // stats gathering runs under the engine's shared structure lock so a
@@ -113,9 +104,9 @@ PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
     gathered.k = options.k;
     gathered.updates_pending = delta != nullptr;
     gathered.disk_backed = engine.options().disk_backed;
-    // Disk-backed engines: the tier's spill policy over the engine's
-    // currently built lists (exactly what the next kNraDisk mine will
-    // place -- a word-list merge invalidates and re-places). Memoized
+    // Disk-backed engines: the tier's spill policy over the lists
+    // resident in the engine's store (what the next kNraDisk mine will
+    // place -- a store insert or eviction re-places). Memoized
     // inside the engine, so per-query planning pays a hash lookup per
     // term, not the O(T log T) policy. Safe here: this lambda runs
     // under the shared structure lock.
@@ -139,14 +130,7 @@ PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
         auto it = observed->find(t);
         if (it != observed->end()) stats.observed_queries = it->second;
       }
-      std::optional<std::size_t> len;
-      if (probe) {
-        len = probe(t);
-      } else if (engine.word_lists().Has(t)) {
-        // Probe-free fallback: the engine's own lazy lists, safe to read
-        // here because this lambda runs under the structure lock.
-        len = engine.word_lists().list(t).size();
-      }
+      const std::optional<std::size_t> len = engine.StoredListLength(t);
       if (len.has_value()) {
         stats.list_built = true;
         stats.list_length = *len;
@@ -164,8 +148,7 @@ PlannerInputs CostPlanner::GatherInputs(const MiningEngine& engine,
         // pins only what the budget provably covers, and a cold list
         // joins the placement at its df rank once built). Blocks cover
         // the packed on-device footprint at the estimated length.
-        const bool built_on_engine = engine.word_lists().Has(t);
-        stats.on_disk = !(built_on_engine && resident->contains(t));
+        stats.on_disk = !(len.has_value() && resident->contains(t));
         if (stats.on_disk) {
           stats.disk_blocks =
               (static_cast<uint64_t>(stats.list_length) * kListEntryBytes +

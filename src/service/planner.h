@@ -2,8 +2,6 @@
 #define PHRASEMINE_SERVICE_PLANNER_H_
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,8 +18,8 @@ struct TermPlanStats {
   TermId term = 0;
   /// Document frequency |docs(q)| from the inverted index.
   uint32_t df = 0;
-  /// True when the term's score-ordered word list already exists (engine
-  /// lazy index or service cache), i.e. no build cost applies.
+  /// True when the term's score-ordered word list is resident in the
+  /// engine's word-list store, i.e. no build cost applies.
   bool list_built = false;
   /// Actual list length when built, otherwise the planner's estimate.
   std::size_t list_length = 0;
@@ -169,18 +167,13 @@ struct PlannerInputs {
 ///
 /// Thread-safety: Plan() is const, gathers engine statistics under the
 /// engine's shared structure lock (so a concurrent rebuild cannot swap
-/// indexes mid-read) and calls the injected list probe; it is safe from
-/// any number of service threads concurrently.
+/// indexes mid-read) and peeks list lengths in the engine's word-list
+/// store (MiningEngine::StoredListLength); it is safe from any number of
+/// service threads concurrently.
 class CostPlanner {
  public:
-  /// Reports the score-list length for a term when one is already built,
-  /// nullopt otherwise. PhraseService injects a probe over its sharded
-  /// word-list cache; the default probe reads engine.word_lists(), which
-  /// is only safe while no concurrent engine merges run.
-  using ListProbe = std::function<std::optional<std::size_t>(TermId)>;
-
   explicit CostPlanner(const MiningEngine* engine,
-                       PlannerOptions options = {}, ListProbe probe = nullptr);
+                       PlannerOptions options = {});
 
   /// Plans one query. `query` should be canonicalized (sorted unique
   /// terms) so equal term sets produce identical decisions.
@@ -203,15 +196,12 @@ class CostPlanner {
   /// The planner-free gathering primitive: reads `engine`'s statistics
   /// under its shared structure lock against the caller's snapshot.
   /// `avg_doc_phrases` is sum_p df(p) / |D| (callers cache it; it only
-  /// changes when the indexes rebuild). A null `probe` reads the
-  /// engine's own lazily built word lists (safe: the probe runs under
-  /// the structure lock).
+  /// changes when the indexes rebuild).
   static PlannerInputs GatherInputs(const MiningEngine& engine,
                                     const Query& query,
                                     const MineOptions& options,
                                     const EpochDelta& snap,
-                                    double avg_doc_phrases,
-                                    const ListProbe& probe = nullptr);
+                                    double avg_doc_phrases);
 
   /// The pure cost model, exposed for decision-table tests.
   static PlanDecision PlanFromInputs(const PlannerInputs& inputs,
@@ -232,7 +222,6 @@ class CostPlanner {
  private:
   const MiningEngine* engine_;
   PlannerOptions options_;
-  ListProbe probe_;
   /// Precomputed average forward-list length of the corpus.
   double avg_doc_phrases_ = 0.0;
 };

@@ -5,14 +5,12 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/nra_miner.h"
-#include "core/smj_miner.h"
 
 namespace phrasemine {
 
 namespace {
 
-/// Lock shards of each service cache.
+/// Lock shards of the result cache.
 constexpr std::size_t kCacheShards = 8;
 /// Entries the slow-query log retains (oldest evicted first).
 constexpr std::size_t kSlowQueryLogCapacity = 64;
@@ -111,22 +109,9 @@ PhraseService::PhraseService(MiningEngine* engine,
                              PhraseServiceOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      smj_fraction_(engine->smj_fraction()),
-      planner_(std::in_place, engine, options_.planner,
-               // Probe the service's own cache so planning never races
-               // with engine-internal merges.
-               [this](TermId term) -> std::optional<std::size_t> {
-                 const uint64_t generation = engine_->list_generation();
-                 if (auto entry =
-                         word_list_cache_.Peek(ScoreListKey(term, generation))) {
-                   return entry->entries->size();
-                 }
-                 return std::nullopt;
-               }),
+      planner_(std::in_place, engine, options_.planner),
       result_cache_(kCacheShards, options_.result_cache_bytes, &registry_,
                     "result_cache"),
-      word_list_cache_(kCacheShards, options_.word_list_cache_bytes,
-                       &registry_, "word_list_cache"),
       pool_(PoolOptionsWith(options_.pool, &registry_)) {
   InitMetrics();
 }
@@ -135,11 +120,8 @@ PhraseService::PhraseService(ShardedEngine* sharded,
                              PhraseServiceOptions options)
     : sharded_(sharded),
       options_(std::move(options)),
-      smj_fraction_(1.0),
       result_cache_(kCacheShards, options_.result_cache_bytes, &registry_,
                     "result_cache"),
-      word_list_cache_(kCacheShards, options_.word_list_cache_bytes,
-                       &registry_, "word_list_cache"),
       pool_(PoolOptionsWith(options_.pool, &registry_)) {
   InitMetrics();
 }
@@ -348,11 +330,12 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
 
   // One freshness snapshot per request, fetched before planning so a
   // racing Ingest can only move this request to a *newer* epoch. A single
-  // engine's update snapshot: the epoch keys the result cache, the
-  // generation keys the word lists, and the overlay delta-corrects the
-  // mine. A fleet's composite epoch vector: the full vector keys the
-  // result cache, so an ingest to any shard strands that shard's stale
-  // entries by unreachability.
+  // engine's update snapshot: the epoch keys the result cache and the
+  // overlay feeds the planner (the engine's mine takes its own snapshot
+  // under its structure lock, so a cached result may be fresher than its
+  // key, never staler). A fleet's composite epoch vector: the full vector
+  // keys the result cache, so an ingest to any shard strands that shard's
+  // stale entries by unreachability.
   EpochDelta snap;
   std::vector<uint64_t> shard_epochs;
   if (sharded_ != nullptr) {
@@ -391,10 +374,10 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
   const bool cacheable = options_.enable_result_cache && !caller_delta;
   std::string key;
   if (cacheable) {
-    // kSmj output depends on the construction fraction of the id-ordered
-    // lists it runs on, so that fraction is part of the key.
+    // The engine's SMJ construction fraction keys SMJ results (fleet
+    // shards are pinned to full lists).
     key = ResultCacheKey(canonical, algorithm, mine_options,
-                         algorithm == Algorithm::kSmj ? smj_fraction_ : -1.0,
+                         sharded_ != nullptr ? 1.0 : engine_->smj_fraction(),
                          snap.epoch, shard_epochs);
     TraceSpan* cache_span = AddSpan(troot, "cache_lookup");
     SpanTimer cache_timer(cache_span);
@@ -434,15 +417,11 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
       shard_disk_bytes_[s]->Add(io.bytes);
     }
   } else {
-    reply.result = Run(canonical, algorithm, mine_options, snap);
-    // Run stamps epoch and guarantee (bundle mines from the snapshot,
-    // engine mines inside the engine); max() keeps the label truthful if
-    // an engine-routed mine raced onto a newer epoch. A caller-supplied
-    // overlay is external state the engine knows nothing about -- its
-    // results keep epoch 0, matching the engine's own contract.
-    if (!caller_delta) {
-      reply.result.epoch = std::max(reply.result.epoch, snap.epoch);
-    }
+    // The engine stamps epoch and guarantee from the snapshot it mined
+    // under, which is never older than `snap`. A caller-supplied overlay
+    // is external state the engine knows nothing about -- its results
+    // keep epoch 0, matching the engine's own contract.
+    reply.result = engine_->Mine(canonical, algorithm, mine_options);
   }
   reply.epoch = reply.result.epoch;
   // A non-OK mine (deadline fired mid-merge, disk tier latched an error)
@@ -469,120 +448,6 @@ ServiceReply PhraseService::Execute(const ServiceRequest& request) {
               reply.latency_ms, reply.result.disk_io);
   MaybeLogSlowQuery(canonical, algorithm, reply);
   return reply;
-}
-
-MineResult PhraseService::Run(const Query& canonical, Algorithm algorithm,
-                              const MineOptions& options, EpochDelta snap) {
-  if (algorithm == Algorithm::kNra || algorithm == Algorithm::kSmj) {
-    // The list-based serving algorithms mine per-query bundles assembled
-    // from the sharded cache: no engine mutation, no global lock. Under a
-    // pending overlay the miners delta-correct each entry at read time,
-    // so cached lists stay valid across delta epochs. The loop restarts
-    // with a fresh snapshot when a background rebuild swaps the structure
-    // generation mid-assembly (GetOrBuild* then refuses to build, so a
-    // new-generation list can never be cached under the old key).
-    //
-    // The miners receive engine_->dict() by reference but never read it
-    // during Mine (scores come entirely from the bundle + overlay; the
-    // overlay snapshots its base dfs at ingest). If a list miner ever
-    // starts dereferencing the dictionary mid-mine, this lock-free path
-    // must move under WithSharedStructures or pin the dictionary.
-    for (;;) {
-      MineOptions effective = options;
-      if (effective.delta == nullptr && snap.delta != nullptr &&
-          snap.delta->pending_updates() > 0) {
-        effective.delta = snap.delta.get();
-      }
-      bool stale = false;
-      MineResult result;
-      if (algorithm == Algorithm::kNra) {
-        WordScoreLists bundle;
-        for (TermId t : canonical.terms) {
-          SharedWordList list = GetOrBuildScoreList(t, snap.generation);
-          if (list == nullptr) {
-            stale = true;
-            break;
-          }
-          bundle.Insert(t, std::move(list));
-        }
-        if (!stale) {
-          NraMiner miner(bundle, engine_->dict());
-          result = miner.Mine(canonical, effective);
-        }
-      } else {
-        WordIdOrderedLists bundle(smj_fraction_);
-        for (TermId t : canonical.terms) {
-          CachedWordList cached = GetOrBuildIdList(t, snap.generation);
-          if (cached.entries == nullptr) {
-            stale = true;
-            break;
-          }
-          if (effective.delta != nullptr) {
-            effective.delta->InsertOverlaid(t, std::move(cached), &bundle);
-          } else {
-            bundle.Insert(t, std::move(cached.entries), std::move(cached.soa));
-          }
-        }
-        if (!stale) {
-          SmjMiner miner(bundle, engine_->dict());
-          result = miner.Mine(canonical, effective);
-        }
-      }
-      if (!stale) {
-        if (options.delta == nullptr) result.epoch = snap.epoch;
-        result.guarantee = GuaranteeFor(algorithm, effective.delta != nullptr,
-                                        smj_fraction_ >= 1.0);
-        return result;
-      }
-      snap = engine_->delta_snapshot();
-    }
-  }
-  MineOptions effective = options;
-  if (effective.delta == nullptr && snap.delta != nullptr &&
-      snap.delta->pending_updates() > 0) {
-    effective.delta = snap.delta.get();
-  }
-  return engine_->Mine(canonical, algorithm, effective);
-}
-
-SharedWordList PhraseService::GetOrBuildScoreList(TermId term,
-                                                  uint64_t generation) {
-  const uint64_t key = ScoreListKey(term, generation);
-  if (auto cached = word_list_cache_.Get(key)) return cached->entries;
-  // Two threads racing on the same cold term both build; the lists are
-  // identical by construction, so the second Put is a harmless refresh.
-  // The shared structure lock keeps a concurrent rebuild from swapping
-  // the source indexes mid-build, and the generation check under that
-  // lock keeps a list built from post-rebuild indexes from being cached
-  // under the pre-rebuild key (nullptr tells the caller to refresh its
-  // snapshot and retry).
-  SharedWordList list =
-      engine_->WithSharedStructures([&]() -> SharedWordList {
-        if (engine_->list_generation() != generation) return nullptr;
-        return WordScoreLists::BuildOne(engine_->inverted(),
-                                        engine_->forward(), engine_->dict(),
-                                        term);
-      });
-  if (list == nullptr) return nullptr;
-  word_list_cache_.Put(key, CachedWordList{list, nullptr},
-                       list->size() * kListEntryInMemoryBytes + 64);
-  return list;
-}
-
-PhraseService::CachedWordList PhraseService::GetOrBuildIdList(
-    TermId term, uint64_t generation) {
-  const uint64_t key = IdListKey(term, generation);
-  if (auto cached = word_list_cache_.Get(key)) return *cached;
-  SharedWordList score = GetOrBuildScoreList(term, generation);
-  if (score == nullptr) return {};  // stale generation: caller retries
-  // The SoA kernel view is built once here and shared into every SMJ
-  // bundle that hits this cache entry.
-  const CachedWordList entry =
-      WordIdOrderedLists::BuildRecord(*score, smj_fraction_);
-  word_list_cache_.Put(key, entry,
-                       entry.entries->size() * kListEntryInMemoryBytes +
-                           entry.soa->MemoryBytes() + 64);
-  return entry;
 }
 
 UpdateStats PhraseService::Ingest(UpdateDoc doc) {
@@ -825,7 +690,8 @@ ServiceStats PhraseService::stats() const {
     stats.update = engine_->update_stats();
   }
   stats.result_cache = result_cache_.stats();
-  stats.word_list_cache = word_list_cache_.stats();
+  stats.word_list_cache = sharded_ != nullptr ? sharded_->list_store_stats()
+                                              : engine_->list_store_stats();
   stats.pool = pool_.stats();
   return stats;
 }

@@ -18,7 +18,6 @@
 #include "core/engine.h"
 #include "core/miner.h"
 #include "core/query.h"
-#include "index/word_lists.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/cache.h"
@@ -55,15 +54,6 @@ struct PhraseServiceOptions {
   /// algorithm + mining options.
   std::size_t result_cache_bytes = 8u << 20;
   bool enable_result_cache = true;
-  /// Sharded LRU cache of per-term word lists (score-ordered and
-  /// id-ordered), so concurrent queries stop re-building lists and the
-  /// engine's global lock stays out of the NRA/SMJ hot path. The cached
-  /// id-ordered (SMJ) lists are cut at the engine's smj_fraction() as of
-  /// service construction (Section 4.4.1: fixed at construction time).
-  /// Each entry is charged the bytes its list occupies in RAM:
-  /// kListEntryInMemoryBytes per entry, plus the SoA view of an
-  /// id-ordered list and 64 bytes of bookkeeping.
-  std::size_t word_list_cache_bytes = 64u << 20;
   /// When an Ingest crosses the engine's rebuild threshold, schedule a
   /// full MiningEngine::Rebuild on this service's thread pool (one at a
   /// time; queries keep flowing while it runs). Disable to manage
@@ -161,6 +151,8 @@ struct ServiceStats {
   /// counters attribute compute, and a hit costs none.
   std::array<uint64_t, 6> per_algorithm{};
   CacheStats result_cache;
+  /// The engine's word-list store (MiningEngine::list_store_stats),
+  /// summed over the shards on a fleet.
   CacheStats word_list_cache;
   ThreadPoolStats pool;
   /// Latency percentiles over all served queries, from the registry's
@@ -195,8 +187,10 @@ struct ServiceStats {
 
 /// Concurrent serving front door over a MiningEngine or a ShardedEngine
 /// fleet: a bounded thread pool executes queries, the cost planner picks
-/// the algorithm per query, and two sharded LRU caches (full results,
-/// per-term word lists) absorb repeated work.
+/// the algorithm per query, and a sharded LRU cache of full results
+/// absorbs repeated work. Word lists are not the service's: every
+/// algorithm runs through MiningEngine::Mine (or ShardedEngine::Mine),
+/// whose word-list store owns them.
 ///
 /// Both engine kinds share one request lifecycle (validation, deadline,
 /// tracing, planning, result cache, accounting); only the freshness key
@@ -207,21 +201,16 @@ struct ServiceStats {
 /// and execution, so every spelling of a term set hits the same cache
 /// entry and produces byte-identical results.
 ///
-/// NRA and SMJ run against per-query list bundles assembled from the
-/// word-list cache and never mutate the engine; Exact/GM/Simitsis and the
-/// disk-simulation mode route through MiningEngine::Mine, which is
-/// internally synchronized (see the engine's threading contract).
-///
 /// Live updates: Ingest/IngestBatch apply document churn to the engine
 /// synchronously (the delta overlay and new epoch are visible before the
 /// call returns), so no query submitted afterwards can be served from a
 /// pre-update epoch. Invalidation is by construction, not by flush:
-/// result-cache keys carry the epoch and word-list keys carry the
-/// structure generation, making stale entries unreachable while hot lists
-/// stay shared (word lists remain valid across delta epochs because the
-/// miners correct scores at read time; only a rebuild re-keys them). When
-/// an ingest crosses the rebuild threshold and enable_auto_rebuild is on,
-/// a full rebuild runs on this pool in the background.
+/// result-cache keys carry the epoch read before planning, so a stale
+/// entry is unreachable; the engine takes its own overlay snapshot under
+/// its structure lock, so a cached result can be fresher than its key,
+/// never staler. When an ingest crosses the rebuild threshold and
+/// enable_auto_rebuild is on, a full rebuild runs on this pool in the
+/// background.
 ///
 /// Deadlines and shedding: a request carrying deadline_ms (or an explicit
 /// CancelToken) is polled cooperatively at block granularity throughout
@@ -258,8 +247,7 @@ class PhraseService {
   /// service): queries scatter-gather across its shards, ingest routes to
   /// owning shards, the result cache keys carry the composite epoch
   /// vector, and auto-rebuild rebuilds only the shards that crossed their
-  /// threshold. The service word-list cache is idle on this path (each
-  /// shard engine caches its own lazily built lists).
+  /// threshold.
   explicit PhraseService(ShardedEngine* sharded,
                          PhraseServiceOptions options = {});
   ~PhraseService();
@@ -337,7 +325,7 @@ class PhraseService {
 
   /// The service's metric registry: every counter behind stats() lives
   /// here under the names cataloged in docs/observability.md, alongside
-  /// the pool's and both caches' metrics. Export with
+  /// the pool's and the result cache's metrics. Export with
   /// Snapshot().ToPrometheusText() / ToJson().
   MetricsRegistry& metrics() { return registry_; }
   const MetricsRegistry& metrics() const { return registry_; }
@@ -372,17 +360,6 @@ class PhraseService {
   const PhraseServiceOptions& options() const { return options_; }
 
  private:
-  /// Word-list cache key: structure generation + term id + list kind
-  /// (score- vs id-ordered). Lists survive delta epochs (miners correct
-  /// scores at read time) but not a rebuild, which bumps the generation
-  /// and thereby strands every old-generation entry.
-  static uint64_t ScoreListKey(TermId term, uint64_t generation) {
-    return (generation << 33) | (static_cast<uint64_t>(term) << 1);
-  }
-  static uint64_t IdListKey(TermId term, uint64_t generation) {
-    return (generation << 33) | (static_cast<uint64_t>(term) << 1) | 1;
-  }
-
   /// The request lifecycle for both engine kinds.
   ServiceReply Execute(const ServiceRequest& request);
   /// Admission gate consulted by Submit when admission control is enabled
@@ -395,20 +372,6 @@ class PhraseService {
   /// engine's own semantics.
   static Status ValidateRequest(const Query& canonical,
                                 const MineOptions& options);
-  /// The single-engine mine. `snap` is taken by value: Run refreshes it
-  /// (and retries the bundle assembly) when a background rebuild changes
-  /// the structure generation mid-request.
-  MineResult Run(const Query& canonical, Algorithm algorithm,
-                 const MineOptions& options, EpochDelta snap);
-  /// One word-list cache entry: the shared AoS run plus, for id-ordered
-  /// lists, the shared SoA kernel view built alongside it -- cached
-  /// together so per-query SMJ bundles reuse the packed view instead of
-  /// re-packing the list on every request. `soa` is null for score lists
-  /// (NRA consumes the AoS run directly).
-  using CachedWordList = WordIdOrderedLists::Record;
-
-  SharedWordList GetOrBuildScoreList(TermId term, uint64_t generation);
-  CachedWordList GetOrBuildIdList(TermId term, uint64_t generation);
   /// `shard_flags` is the per-shard rebuild recommendation vector on the
   /// sharded path (only flagged shards rebuild); empty rebuilds the
   /// single engine.
@@ -433,19 +396,15 @@ class PhraseService {
   MiningEngine* engine_ = nullptr;
   ShardedEngine* sharded_ = nullptr;
   PhraseServiceOptions options_;
-  /// Declared before the pool and caches: they are constructed with (and
-  /// publish into) this registry, and metric handles must outlive them.
+  /// Declared before the pool and the cache: they are constructed with
+  /// (and publish into) this registry, and metric handles must outlive
+  /// them.
   MetricsRegistry registry_;
-  /// SMJ construction fraction of the cached id-ordered lists: the
-  /// engine's fraction at construction, or 1 on the fleet path (sharded
-  /// SMJ always merges full lists).
-  double smj_fraction_;
   /// Single-engine planner; the fleet path plans from per-shard inputs
   /// the sharded engine gathers under its fleet lock.
   std::optional<CostPlanner> planner_;
   ShardedLruCache<std::string, std::shared_ptr<const CachedResult>>
       result_cache_;
-  ShardedLruCache<uint64_t, CachedWordList> word_list_cache_;
 
   // Registry metric handles (stable pointers into registry_), resolved by
   // InitMetrics(). RecordQuery and the ingest/rebuild paths touch only
@@ -510,7 +469,7 @@ class PhraseService {
   std::unique_ptr<SubscriptionManager> subscriptions_;
   std::atomic<SubscriptionManager*> subscriptions_ptr_{nullptr};
 
-  ThreadPool pool_;  // Last member: workers must die before the caches.
+  ThreadPool pool_;  // Last member: workers must die before the cache.
 };
 
 }  // namespace phrasemine

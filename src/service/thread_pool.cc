@@ -56,11 +56,13 @@ bool ThreadPool::Enqueue(std::function<void()> task, bool block) {
     return false;
   }
   queue_.push_back(std::move(task));
+  // The +1 feeds the gauge's high-water tracking: depth only rises here,
+  // so the gauge max is the true peak queue depth. Both gauge updates
+  // happen under mu_, so the gauge moves in queue order and can never
+  // read above queue_capacity.
+  depth_->Add(1);
   lock.unlock();
   submitted_->Increment();
-  // The +1 feeds the gauge's high-water tracking: depth only rises here,
-  // so the gauge max is the true peak queue depth.
-  depth_->Add(1);
   not_empty_.notify_one();
   return true;
 }
@@ -74,8 +76,8 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // Shut down and drained.
       task = std::move(queue_.front());
       queue_.pop_front();
+      depth_->Add(-1);
     }
-    depth_->Add(-1);
     not_full_.notify_one();
     task();
     executed_->Increment();

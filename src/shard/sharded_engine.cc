@@ -140,20 +140,6 @@ struct GlobalCandidate {
   std::vector<uint64_t> codf;
 };
 
-/// True when the shard holds an id-ordered record for every query term.
-/// Callers run EnsureIdOrderedLists first and check the generation, so a
-/// missing record means the store moved on in between: the leg reports
-/// stale and the mine retries with fresh snapshots. Shards are pinned to
-/// full lists (Options::engine); the merges' exactness depends on it.
-bool HasFullRecords(const WordIdOrderedLists& idl,
-                    std::span<const TermId> terms) {
-  PM_CHECK_MSG(idl.fraction() >= 1.0, "fleet shards need full SMJ lists");
-  for (TermId t : terms) {
-    if (!idl.Has(t)) return false;
-  }
-  return true;
-}
-
 /// The overlay actually in effect for a snapshot (null when none).
 const DeltaIndex* PendingDelta(const EpochDelta& snap) {
   return snap.delta != nullptr && snap.delta->pending_updates() > 0
@@ -163,7 +149,9 @@ const DeltaIndex* PendingDelta(const EpochDelta& snap) {
 
 // Every scatter/fill helper below validates the shard's structure
 // generation against the caller's snapshot under the shared structure
-// lock and reports false on mismatch: the caller then retries the whole
+// lock (the list helpers also check the generation their word-list
+// handles were taken at) and reports false on mismatch: the caller then
+// retries the whole
 // mine with fresh snapshots, so one merged result never mixes pre- and
 // post-rebuild supports. Plain ingests don't perturb a running mine --
 // the overlay is the snapshot's immutable DeltaIndex, not the live one.
@@ -220,7 +208,9 @@ bool ListScatter(MiningEngine& engine, const Query& query,
                  Algorithm algorithm, const EpochDelta& snap,
                  ShardScatter* out) {
   const std::size_t r = query.terms.size();
-  engine.EnsureIdOrderedLists(query.terms);  // includes the score lists
+  const MiningEngine::StoredLists stored = engine.Lists(query.terms, true);
+  PM_CHECK_MSG(stored.fraction >= 1.0, "fleet shards need full SMJ lists");
+  if (stored.generation != snap.generation) return false;
   const DeltaIndex* delta = PendingDelta(snap);
   *out = ShardScatter{};
   out->epoch = snap.epoch;
@@ -228,8 +218,6 @@ bool ListScatter(MiningEngine& engine, const Query& query,
       GuaranteeFor(algorithm, delta != nullptr, /*smj_full_lists=*/true);
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    const WordIdOrderedLists& idl = engine.id_ordered_lists();
-    if (!HasFullRecords(idl, query.terms)) return false;
     out->num_docs = engine.forward().num_docs();
     std::unordered_map<PhraseId, std::size_t> slot;
     auto fold = [&](std::size_t term_index, PhraseId phrase, double prob) {
@@ -258,14 +246,15 @@ bool ListScatter(MiningEngine& engine, const Query& query,
     // the same way the monolithic SMJ bundle assembly does.
     for (std::size_t i = 0; i < r; ++i) {
       const TermId t = query.terms[i];
-      const SoABlockList* soa = idl.soa(t);
-      const PhraseId* ids = soa->ids();
-      const double* probs = soa->probs();
-      const std::size_t len = soa->size();
+      const WordIdOrderedLists::Record& record = stored.lists[i]->ids;
+      const SoABlockList& soa = *record.soa;
+      const PhraseId* ids = soa.ids();
+      const double* probs = soa.probs();
+      const std::size_t len = soa.size();
       for (std::size_t k = 0; k < len; ++k) fold(i, ids[k], probs[k]);
       if (delta != nullptr) {
         for (const ListEntry& extra :
-             delta->ExtraIdOrderedEntries(t, idl.list(t))) {
+             delta->ExtraIdOrderedEntries(t, *record.entries)) {
           fold(i, extra.phrase, extra.prob);
         }
       }
@@ -364,13 +353,16 @@ bool ListFill(MiningEngine& engine, const Query& query,
               std::span<const uint8_t> need, bool need_codf,
               const EpochDelta& snap, std::vector<PartialSupport>* out) {
   const std::size_t r = query.terms.size();
-  if (need_codf) engine.EnsureIdOrderedLists(query.terms);
+  MiningEngine::StoredLists stored;
+  if (need_codf) {
+    stored = engine.Lists(query.terms, true);
+    PM_CHECK_MSG(stored.fraction >= 1.0, "fleet shards need full SMJ lists");
+    if (stored.generation != snap.generation) return false;
+  }
   const DeltaIndex* delta = PendingDelta(snap);
   out->assign(cands.size(), PartialSupport{});
   return engine.WithSharedStructures([&]() -> bool {
     if (engine.list_generation() != snap.generation) return false;
-    const WordIdOrderedLists& idl = engine.id_ordered_lists();
-    if (need_codf && !HasFullRecords(idl, query.terms)) return false;
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (!need[i]) continue;
       const PhraseId p = cands[i].phrase;
@@ -399,7 +391,8 @@ bool ListFill(MiningEngine& engine, const Query& query,
     std::vector<double> gathered(probes.size());
     for (std::size_t j = 0; j < r; ++j) {
       const TermId t = query.terms[j];
-      kernels::GatherProbes(*idl.soa(t), probe_ids, gathered.data());
+      kernels::GatherProbes(*stored.lists[j]->ids.soa, probe_ids,
+                            gathered.data());
       for (std::size_t m = 0; m < probes.size(); ++m) {
         const std::size_t i = probes[m].second;
         const PhraseId p = probes[m].first;
@@ -1445,6 +1438,22 @@ void ShardedEngine::SetDiskBudgetPerShard(uint64_t budget_bytes) {
   for (const std::unique_ptr<MiningEngine>& shard : shards_) {
     shard->SetDiskResidentBudget(budget_bytes);
   }
+}
+
+CacheStats ShardedEngine::list_store_stats() const {
+  std::shared_lock fleet_lock(*shards_mu_);
+  CacheStats total;
+  for (const std::unique_ptr<MiningEngine>& shard : shards_) {
+    const CacheStats s = shard->list_store_stats();
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.inserts += s.inserts;
+    total.evictions += s.evictions;
+    total.entries += s.entries;
+    total.bytes += s.bytes;
+    total.capacity_bytes += s.capacity_bytes;
+  }
+  return total;
 }
 
 void ShardedEngine::SetTermPopularity(

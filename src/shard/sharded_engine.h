@@ -34,7 +34,8 @@ struct ShardedEngineOptions {
   /// engine built from the same corpus and options. default_smj_fraction
   /// is ignored: every shard is pinned to full id-ordered lists (1.0),
   /// because the sharded SMJ and NRA merges sum exact per-shard supports
-  /// and a truncated list would hide some of them.
+  /// and a truncated list would hide some of them. word_list_store_bytes
+  /// budgets each shard's own word-list store.
   MiningEngineOptions engine;
   /// Scatter fan-out of the approximate (top-k') paths (GM, Simitsis,
   /// NRA, NRA-disk): each shard mines merge_headroom * k + merge_slack
@@ -410,6 +411,10 @@ class ShardedEngine {
   /// against concurrent mines (the per-shard install takes each shard's
   /// exclusive structure lock).
   void SetTermPopularity(std::shared_ptr<const TermPopularity> observed);
+
+  /// The shards' word-list store counters (MiningEngine::
+  /// list_store_stats), summed over the fleet.
+  CacheStats list_store_stats() const;
 
  private:
   ShardedEngine() = default;

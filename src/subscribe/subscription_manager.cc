@@ -30,6 +30,33 @@ uint64_t VecSum(const std::vector<uint64_t>& v) {
   return sum;
 }
 
+/// One event's base lists: the engine's id-ordered records of `terms`,
+/// shared out of its word-list store. False when the engine has moved
+/// past the event's structure `version`, or its records are truncated
+/// (the fraction changed after Subscribe checked it): the rescore is
+/// exact only over full lists, so the caller re-mines.
+bool BaseRecords(MiningEngine& engine, std::span<const TermId> terms,
+                 uint64_t version, std::vector<SharedWordList>* out) {
+  const MiningEngine::StoredLists stored = engine.Lists(terms, true);
+  if (stored.structure_version != version || stored.fraction < 1.0) {
+    return false;
+  }
+  out->clear();
+  for (const SharedTermLists& lists : stored.lists) {
+    out->push_back(lists->ids.entries);
+  }
+  return true;
+}
+
+/// Probability of `phrase` in an id-ordered base list; 0.0 when absent.
+double BaseProb(const std::vector<ListEntry>& list, PhraseId phrase) {
+  auto pos = std::lower_bound(
+      list.begin(), list.end(), phrase,
+      [](const ListEntry& e, PhraseId id) { return e.phrase < id; });
+  if (pos == list.end() || pos->phrase != phrase) return 0.0;
+  return pos->prob;
+}
+
 }  // namespace
 
 const char* TopKChangeKindName(TopKChangeKind kind) {
@@ -336,7 +363,6 @@ void SubscriptionManager::ProcessDataEvent(Msg& msg, bool events_lost) {
   }
 
   if (rebuilt) {
-    base_lists_.clear();
     prev_event_valid_ = false;
   } else if (events_lost) {
     prev_event_valid_ = false;
@@ -454,8 +480,10 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
   std::vector<double> probs(nt, 0.0);
   const QueryOperator op = sub.request.op;
 
+  std::vector<SharedWordList> base_lists;
   if (msg.kind == Msg::Kind::kMonoEvent) {
-    if (!EnsureBaseLists(0, terms, msg.mono.structure_version)) {
+    if (!BaseRecords(*mono_, terms, msg.mono.structure_version,
+                     &base_lists)) {
       *ok = false;
       return out;
     }
@@ -463,7 +491,7 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
     for (std::size_t i = 0; i < np; ++i) {
       const PhraseId p = touched[i];
       for (std::size_t j = 0; j < nt; ++j) {
-        const double base = BaseProb(0, terms[j], p);
+        const double base = BaseProb(*base_lists[j], p);
         probs[j] = delta != nullptr ? delta->AdjustedProb(terms[j], p, base)
                                     : std::clamp(base, 0.0, 1.0);
       }
@@ -498,11 +526,11 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
   std::vector<uint64_t> codf(np * nt, 0);
   for (std::size_t s = 0; s < num_shards && *ok; ++s) {
     const ShardUpdateEvent& se = msg.sharded.shards[s];
-    if (!EnsureBaseLists(s, terms, se.structure_version)) {
-      *ok = false;
-      break;
-    }
     sharded_->WithShard(s, [&](MiningEngine& engine) {
+      if (!BaseRecords(engine, terms, se.structure_version, &base_lists)) {
+        *ok = false;
+        return;
+      }
       engine.WithSharedStructures([&] {
         if (engine.structure_version() != se.structure_version) {
           *ok = false;
@@ -517,7 +545,7 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
           const uint32_t df_adj = AdjustedShardDf(base_df, p, delta);
           df[i] += df_adj;
           for (std::size_t j = 0; j < nt; ++j) {
-            const double base = BaseProb(s, terms[j], p);
+            const double base = BaseProb(*base_lists[j], p);
             codf[i * nt + j] +=
                 AdjustedShardCodf(base, base_df, terms[j], p, delta, df_adj);
           }
@@ -546,69 +574,6 @@ std::vector<SubscriptionManager::Rescored> SubscriptionManager::RescoreTouched(
     out[i] = Rescored{true, score, ScoreToInterestingness(score, op)};
   }
   return out;
-}
-
-double SubscriptionManager::BaseProb(std::size_t shard, TermId term,
-                                     PhraseId phrase) const {
-  const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                       static_cast<uint64_t>(term);
-  auto it = base_lists_.find(key);
-  if (it == base_lists_.end()) return 0.0;
-  const std::vector<ListEntry>& list = *it->second.id_ordered;
-  auto pos = std::lower_bound(
-      list.begin(), list.end(), phrase,
-      [](const ListEntry& e, PhraseId id) { return e.phrase < id; });
-  if (pos == list.end() || pos->phrase != phrase) return 0.0;
-  return pos->prob;
-}
-
-bool SubscriptionManager::EnsureBaseLists(std::size_t shard,
-                                          const std::vector<TermId>& terms,
-                                          uint64_t version) {
-  std::vector<TermId> missing;
-  for (TermId t : terms) {
-    const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                         static_cast<uint64_t>(t);
-    auto it = base_lists_.find(key);
-    if (it == base_lists_.end() || it->second.version != version) {
-      missing.push_back(t);
-    }
-  }
-  if (missing.empty()) return true;
-
-  // The engine's own id-ordered records, shared rather than copied. The
-  // rescore is exact only over full lists: a truncated store (the
-  // fraction changed after Subscribe checked it) fails like a version
-  // change, and the caller re-mines.
-  std::vector<SharedWordList> records(missing.size());
-  bool ok = true;
-  auto read = [&](MiningEngine& engine) {
-    engine.EnsureIdOrderedLists(missing);
-    engine.WithSharedStructures([&] {
-      const WordIdOrderedLists& idl = engine.id_ordered_lists();
-      if (engine.structure_version() != version || idl.fraction() < 1.0) {
-        ok = false;
-        return;
-      }
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        records[i] = idl.record(missing[i]).entries;
-        if (records[i] == nullptr) ok = false;
-      }
-    });
-  };
-  if (sharded_ != nullptr) {
-    sharded_->WithShard(shard, read);
-  } else {
-    read(*mono_);
-  }
-  if (!ok) return false;
-
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const uint64_t key = (static_cast<uint64_t>(shard) << 32) |
-                         static_cast<uint64_t>(missing[i]);
-    base_lists_[key] = CachedList{version, std::move(records[i])};
-  }
-  return true;
 }
 
 void SubscriptionManager::Remine(Sub& sub, const CancelToken* cancel,

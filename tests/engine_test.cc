@@ -1,7 +1,10 @@
-// MiningEngine facade behaviour: lazy structures, word-list lifecycle,
-// snapshot persistence, and end-to-end agreement after a save/load cycle.
+// MiningEngine facade behaviour: lazy structures, the word-list store's
+// lifecycle and budget, snapshot persistence, and end-to-end agreement
+// after a save/load cycle.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,6 +161,92 @@ TEST(EngineTest, ConcurrentRecordInsertsMatchSerialMines) {
       }
     }
   }
+}
+
+/// Re-inserts `count` of the engine's own documents (every third one) and
+/// deletes two, as one update batch: both sides of a differential then
+/// carry the same pending overlay.
+UpdateBatch ReinsertBatch(const MiningEngine& engine, std::size_t count) {
+  const Corpus& corpus = engine.corpus();
+  UpdateBatch batch;
+  for (DocId d = 0; d < corpus.size() && batch.inserts.size() < count;
+       d += 3) {
+    UpdateDoc doc;
+    for (TermId t : corpus.doc(d).tokens) {
+      doc.tokens.push_back(corpus.vocab().TermText(t));
+    }
+    for (TermId f : corpus.doc(d).facets) {
+      doc.facets.push_back(corpus.vocab().TermText(f));
+    }
+    batch.inserts.push_back(std::move(doc));
+  }
+  batch.deletes = {1, 4};
+  return batch;
+}
+
+TEST(EngineTest, EvictingStoreMinesBitwiseEqualToDefaultStore) {
+  // A 1-byte store budget gives each lock shard of the store a 1-byte
+  // slice, so every shard keeps just its latest (oversized) entry and
+  // nearly every list a query needs was evicted since its last use. NRA
+  // and SMJ must not move by a ULP, with and without a pending overlay.
+  MiningEngine evicting = testing::MakeSmallEngine(300, 1);
+  MiningEngine reference = testing::MakeSmallEngine(300);
+  const std::vector<TermId> pool = FrequentTerms(reference, 5, 24);
+  ASSERT_EQ(pool.size(), 24u);
+  auto check = [&](const std::string& phase) {
+    for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
+      for (const QueryOperator op :
+           {QueryOperator::kAnd, QueryOperator::kOr}) {
+        const Query q{{pool[i], pool[i + 1]}, op};
+        for (const Algorithm a : {Algorithm::kNra, Algorithm::kSmj}) {
+          const MineResult got = evicting.Mine(q, a, {.k = 10});
+          const MineResult want = reference.Mine(q, a, {.k = 10});
+          EXPECT_EQ(testing::RankedSignature(got),
+                    testing::RankedSignature(want))
+              << phase << " " << AlgorithmName(a) << " query " << i;
+          EXPECT_EQ(got.guarantee, want.guarantee) << phase;
+          EXPECT_EQ(got.epoch, want.epoch) << phase;
+        }
+      }
+    }
+  };
+  check("base");
+  const UpdateBatch batch = ReinsertBatch(reference, 12);
+  evicting.ApplyUpdate(batch);
+  reference.ApplyUpdate(batch);
+  check("overlay");
+
+  const CacheStats stats = evicting.list_store_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.entries, stats.capacity_bytes);  // one per 1-byte slice
+  EXPECT_EQ(reference.list_store_stats().evictions, 0u);
+}
+
+TEST(EngineTest, StoreStaysWithinItsBudget) {
+  // Many distinct terms through a store that holds a fraction of them:
+  // resident bytes stay within the budget, plus at most one oversized
+  // entry per lock shard (a shard always admits its newest entry).
+  constexpr std::size_t kBudget = 48u << 10;
+  constexpr std::size_t kStoreShards = 8;
+  MiningEngine engine = testing::MakeSmallEngine(600, kBudget);
+  const std::vector<TermId> terms = FrequentTerms(engine, 2, 300);
+  ASSERT_GE(terms.size(), 200u);
+  std::size_t max_charge = 0;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const Algorithm a = i % 2 == 0 ? Algorithm::kNra : Algorithm::kSmj;
+    (void)engine.Mine(Query{{terms[i]}, QueryOperator::kOr}, a);
+    const MiningEngine::StoredLists stored =
+        engine.Lists({&terms[i], 1}, a == Algorithm::kSmj);
+    max_charge =
+        std::max(max_charge, testing::ListStoreCharge(*stored.lists[0]));
+    const CacheStats stats = engine.list_store_stats();
+    ASSERT_EQ(stats.capacity_bytes, kBudget);
+    ASSERT_LE(stats.bytes, kBudget + kStoreShards * max_charge)
+        << "after " << i + 1 << " terms";
+  }
+  const CacheStats stats = engine.list_store_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LT(stats.entries, terms.size());
 }
 
 TEST(EngineTest, PhraseTextServedFromSlotFile) {

@@ -26,9 +26,10 @@ using testing::MakeTinyEngine;
 double FullListScore(MiningEngine& engine, const Query& q, PhraseId phrase,
                      double fraction) {
   std::vector<double> probs;
+  const WordScoreLists lists = engine.word_lists();
   for (TermId t : q.terms) {
     double prob = 0.0;
-    for (const ListEntry& e : engine.word_lists().Partial(t, fraction)) {
+    for (const ListEntry& e : lists.Partial(t, fraction)) {
       if (e.phrase == phrase) {
         prob = e.prob;
         break;

@@ -1,5 +1,6 @@
 // ShardedLruCache eviction/stats behaviour and result-key canonicalization.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -98,6 +99,47 @@ TEST(ShardedLruCacheTest, ShardsSplitTheBudget) {
   StringCache cache(8, 800);
   EXPECT_EQ(cache.num_shards(), 8u);
   EXPECT_EQ(cache.stats().capacity_bytes, 800u);
+}
+
+TEST(ShardedLruCacheTest, KeysSharingLowBitsReachEveryShard) {
+  // Every key a multiple of 8 under the identity integer hash: a plain
+  // hash % 8 would send them all to one shard. Charges of a whole shard
+  // slice leave each shard its latest key, so 8 entries means every
+  // shard was reached.
+  StringCache cache(8, 800);
+  for (int key = 0; key < 64 * 8; key += 8) cache.Put(key, Val("v"), 100);
+  EXPECT_EQ(cache.stats().entries, 8u);
+}
+
+TEST(ShardedLruCacheTest, EqualChargeEntriesFillTheBudget) {
+  // The engine's word-list store: TermId keys over 8 shards. Filled with
+  // equal-charge entries under even keys (the key family that once
+  // crowded onto half the shards), it must hold >= 90 % of its budget.
+  ShardedLruCache<TermId, std::shared_ptr<std::string>> store(8, 64u << 10);
+  for (TermId t = 0; t < 2 * 4096; t += 2) store.Put(t, Val("list"), 100);
+  const CacheStats stats = store.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GE(stats.bytes, stats.capacity_bytes * 9 / 10);
+  EXPECT_LE(stats.bytes, stats.capacity_bytes);
+}
+
+TEST(ShardedLruCacheTest, ForEachAndChangesTrackMembership) {
+  StringCache cache(4, 1000);
+  const uint64_t start = cache.changes();
+  cache.Put(1, Val("a"), 10);
+  cache.Put(2, Val("b"), 10);
+  ASSERT_TRUE(cache.Get(1).has_value());
+  ASSERT_TRUE(cache.Peek(2).has_value());
+  cache.Put(2, Val("b2"), 10);  // A refresh leaves the key set alone.
+  EXPECT_EQ(cache.changes(), start + 2);
+  std::vector<int> keys;
+  cache.ForEach([&](int key, const std::shared_ptr<std::string>&) {
+    keys.push_back(key);
+  });
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<int>{1, 2}));
+  cache.Clear();
+  EXPECT_GT(cache.changes(), start + 2);
 }
 
 TEST(ShardedLruCacheTest, ConcurrentMixedOperationsAreSafe) {

@@ -506,11 +506,11 @@ TEST(ServiceTest, WordListCacheChargesResidentBytes) {
 }
 
 TEST(ServiceTest, ConcurrentColdListBuildsUnderEvictionMatchSerialEngine) {
-  // Four clients mine NRA over overlapping never-seen terms through a
-  // word-list cache too small to keep them, so the same lists are built,
-  // evicted and rebuilt concurrently; every reply must stay bitwise equal
-  // to the serial engine.
-  MiningEngine serving = testing::MakeSmallEngine(400);
+  // Four clients mine NRA over overlapping never-seen terms on an engine
+  // whose word-list store is too small to keep them, so the same lists
+  // are built, evicted and rebuilt concurrently; every reply must stay
+  // bitwise equal to the serial engine.
+  MiningEngine serving = testing::MakeSmallEngine(400, 16u << 10);
   MiningEngine reference = testing::MakeSmallEngine(400);
 
   std::vector<TermId> terms;
@@ -535,7 +535,6 @@ TEST(ServiceTest, ConcurrentColdListBuildsUnderEvictionMatchSerialEngine) {
   PhraseServiceOptions options;
   options.pool.num_threads = 1;
   options.enable_result_cache = false;
-  options.word_list_cache_bytes = 16u << 10;
   PhraseService service(&serving, options);
 
   constexpr std::size_t kThreads = 4;

@@ -130,6 +130,90 @@ TEST(ShardedEngineTest, DifferentialExactAndSmjMatchMonolith) {
   }
 }
 
+TEST(ShardedEngineTest, EvictingShardStoresMatchFleetAndMonolith) {
+  // Every shard's word-list store gets a 1-byte budget, so each of its
+  // lock shards keeps only its latest entry and the scatter and fill
+  // rounds rebuild lists they took moments before. SMJ must still match
+  // the monolith, and SMJ and NRA must be bitwise equal to a fleet whose
+  // stores keep everything.
+  MiningEngine mono = MiningEngine::Build(MakeSmallSyntheticCorpus(500),
+                                          EngineOptions(/*min_df=*/3));
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  options.engine = EngineOptions(/*min_df=*/3);
+  ShardedEngine reference =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(500), options);
+  options.engine.word_list_store_bytes = 1;
+  ShardedEngine evicting =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(500), options);
+  const std::vector<Query> queries = HarvestQueries(mono, 6);
+  ASSERT_FALSE(queries.empty());
+  for (const Query& base : queries) {
+    for (const QueryOperator op : {QueryOperator::kAnd, QueryOperator::kOr}) {
+      Query query = base;
+      query.op = op;
+      ExpectEquivalentTopK(mono, evicting, query, Algorithm::kSmj,
+                           MineOptions{.k = 5});
+      for (const Algorithm algorithm : {Algorithm::kSmj, Algorithm::kNra}) {
+        const ShardedMineResult got =
+            evicting.Mine(query, algorithm, MineOptions{.k = 5});
+        const ShardedMineResult want =
+            reference.Mine(query, algorithm, MineOptions{.k = 5});
+        EXPECT_EQ(testing::RankedSignature(got.result),
+                  testing::RankedSignature(want.result))
+            << AlgorithmName(algorithm);
+        EXPECT_EQ(got.texts, want.texts) << AlgorithmName(algorithm);
+      }
+    }
+  }
+  uint64_t evictions = 0;
+  for (std::size_t s = 0; s < evicting.num_shards(); ++s) {
+    const CacheStats stats = evicting.shard(s).list_store_stats();
+    EXPECT_LE(stats.entries, stats.capacity_bytes);  // one per 1-byte slice
+    evictions += stats.evictions;
+  }
+  EXPECT_GT(evictions, 0u);
+  EXPECT_EQ(evicting.list_store_stats().evictions, evictions);
+}
+
+TEST(ShardedEngineTest, ShardStoresStayWithinTheirBudget) {
+  // The monolith's bound, per fleet shard: after many distinct terms
+  // every shard's store holds at most its budget plus one oversized
+  // entry per lock shard.
+  constexpr std::size_t kBudget = 24u << 10;
+  constexpr std::size_t kStoreShards = 8;
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.engine = EngineOptions(/*min_df=*/3);
+  options.engine.word_list_store_bytes = kBudget;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(600), options);
+  std::vector<TermId> terms;
+  const InvertedIndex& inverted = sharded.shard(0).inverted();
+  for (TermId t = 0; t < inverted.num_terms() && terms.size() < 200; ++t) {
+    if (inverted.df(t) >= 2) terms.push_back(t);
+  }
+  ASSERT_GE(terms.size(), 100u);
+  std::vector<std::size_t> max_charge(sharded.num_shards(), 0);
+  for (TermId t : terms) {
+    (void)sharded.Mine(Query{{t}, QueryOperator::kOr}, Algorithm::kSmj,
+                       MineOptions{.k = 5});
+    for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+      const MiningEngine::StoredLists stored =
+          sharded.shard(s).Lists({&t, 1}, true);
+      max_charge[s] = std::max(max_charge[s],
+                               testing::ListStoreCharge(*stored.lists[0]));
+      const CacheStats stats = sharded.shard(s).list_store_stats();
+      ASSERT_EQ(stats.capacity_bytes, kBudget);
+      ASSERT_LE(stats.bytes, kBudget + kStoreShards * max_charge[s])
+          << "shard " << s;
+    }
+  }
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_GT(sharded.shard(s).list_store_stats().evictions, 0u);
+  }
+}
+
 /// A fleet pins every shard to full id-ordered lists: engine options
 /// asking for truncated SMJ lists still merge to the full-list monolithic
 /// answer, with and without a pending overlay.

@@ -289,6 +289,94 @@ TEST(SubscriptionDifferentialTest, ShardedReplayMatchesFreshMine) {
             snap.counter("subscribe_batches_total") * subs.size() / 2);
 }
 
+TEST(SubscriptionDifferentialTest, EvictingStoresReplayMatchesFreshMine) {
+  // The replays above with 1-byte word-list stores: every lock shard of a
+  // store keeps only its latest entry, and each batch is followed by
+  // lists for 24 other terms, so the rescore's base records are evicted
+  // and rebuilt for nearly every event. Incremental publishes must still
+  // equal a fresh re-mine, on a monolith and on a fleet.
+  MiningEngine engine = MiningEngine::Build(MakeSmallSyntheticCorpus(300), [] {
+    MiningEngine::Options options;
+    options.extractor.min_df = 5;
+    options.word_list_store_bytes = 1;
+    return options;
+  }());
+  std::vector<TermId> noise;
+  for (TermId t = 0; t < engine.inverted().num_terms() && noise.size() < 24;
+       ++t) {
+    if (engine.inverted().df(t) >= 5) noise.push_back(t);
+  }
+  ASSERT_EQ(noise.size(), 24u);
+  MetricsRegistry registry;
+  SubscriptionManagerOptions options;
+  options.metrics = &registry;
+  {
+    SubscriptionManager manager(&engine, options);
+    std::vector<RegisteredSub> subs = RegisterSubs(
+        &manager, engine.corpus(),
+        [&](const std::string& text, QueryOperator op) {
+          return engine.ParseQuery(text, op);
+        });
+    ASSERT_EQ(subs.size(), 3u);
+    ReplayAndCompare(
+        &manager, subs, engine.corpus(), /*num_batches=*/40,
+        /*rebuild_every=*/20,
+        [&](const UpdateBatch& batch) {
+          engine.ApplyUpdate(batch);
+          engine.EnsureWordLists(noise);
+        },
+        [&] { engine.Rebuild(); },
+        [&](const RegisteredSub& sub) {
+          MineOptions mo;
+          mo.k = sub.k;
+          mo.or_order = sub.or_order;
+          return engine.Mine(sub.query, Algorithm::kSmj, mo);
+        });
+  }
+  EXPECT_GT(registry.Snapshot().counter("subscribe_incremental_total"), 0u);
+  EXPECT_GT(engine.list_store_stats().evictions, 0u);
+
+  ShardedEngineOptions fleet_options;
+  fleet_options.num_shards = 3;
+  fleet_options.engine.extractor.min_df = 5;
+  fleet_options.engine.word_list_store_bytes = 1;
+  ShardedEngine sharded =
+      ShardedEngine::Build(MakeSmallSyntheticCorpus(300), fleet_options);
+  MetricsRegistry fleet_registry;
+  options.metrics = &fleet_registry;
+  SubscriptionManager manager(&sharded, options);
+  const Corpus& corpus = sharded.shard(0).corpus();
+  std::vector<RegisteredSub> subs = RegisterSubs(
+      &manager, corpus, [&](const std::string& text, QueryOperator op) {
+        return sharded.ParseQuery(text, op);
+      });
+  ASSERT_EQ(subs.size(), 3u);
+  std::size_t next_rebuild_shard = 0;
+  ReplayAndCompare(
+      &manager, subs, corpus, /*num_batches=*/40, /*rebuild_every=*/20,
+      [&](const UpdateBatch& batch) {
+        sharded.ApplyUpdate(batch);
+        for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+          sharded.WithShard(s, [&](MiningEngine& shard) {
+            shard.EnsureWordLists(noise);
+          });
+        }
+      },
+      [&] {
+        sharded.RebuildShard(next_rebuild_shard % sharded.num_shards());
+        ++next_rebuild_shard;
+      },
+      [&](const RegisteredSub& sub) {
+        MineOptions mo;
+        mo.k = sub.k;
+        mo.or_order = sub.or_order;
+        return sharded.Mine(sub.query, Algorithm::kSmj, mo).result;
+      });
+  EXPECT_GT(fleet_registry.Snapshot().counter("subscribe_incremental_total"),
+            0u);
+  EXPECT_GT(sharded.list_store_stats().evictions, 0u);
+}
+
 // --- Adversarial churn properties -------------------------------------------
 
 /// Small controlled corpus: P(alpha|beta) and friends have headroom so

@@ -41,10 +41,21 @@ MiningEngine MakeTinyEngine() {
   return MiningEngine::Build(MakeTinyCorpus(), options);
 }
 
-MiningEngine MakeSmallEngine(std::size_t num_docs) {
+MiningEngine MakeSmallEngine(std::size_t num_docs,
+                             std::size_t word_list_store_bytes) {
   MiningEngine::Options options;
   options.extractor.min_df = 5;
+  options.word_list_store_bytes = word_list_store_bytes;
   return MiningEngine::Build(MakeSmallSyntheticCorpus(num_docs), options);
+}
+
+std::size_t ListStoreCharge(const TermLists& lists) {
+  std::size_t bytes = lists.score->size() * kListEntryInMemoryBytes + 64;
+  if (lists.ids.entries != nullptr) {
+    bytes += lists.ids.entries->size() * kListEntryInMemoryBytes +
+             lists.ids.soa->MemoryBytes();
+  }
+  return bytes;
 }
 
 std::vector<PhraseId> Ids(const MineResult& result) {

@@ -26,8 +26,18 @@ Corpus MakeSmallSyntheticCorpus(std::size_t num_docs = 600);
 /// qualify).
 MiningEngine MakeTinyEngine();
 
-/// Engine over MakeSmallSyntheticCorpus with default extraction options.
-MiningEngine MakeSmallEngine(std::size_t num_docs = 600);
+/// Engine over MakeSmallSyntheticCorpus with default extraction options
+/// and a word-list store of `word_list_store_bytes`.
+MiningEngine MakeSmallEngine(
+    std::size_t num_docs = 600,
+    std::size_t word_list_store_bytes =
+        MiningEngineOptions{}.word_list_store_bytes);
+
+/// Bytes MiningEngine's word-list store charges `lists`, per
+/// MiningEngineOptions::word_list_store_bytes: kListEntryInMemoryBytes
+/// per entry of the score list and of the id-ordered record, the
+/// record's SoA view and 64 bytes of bookkeeping.
+std::size_t ListStoreCharge(const TermLists& lists);
 
 /// Result phrase ids in rank order.
 std::vector<PhraseId> Ids(const MineResult& result);

@@ -152,19 +152,6 @@ TEST(WordScoreListsTest, PackedVsInMemoryEntrySizes) {
   EXPECT_GT(lists.InMemoryBytes(1.0), lists.SizeBytes(1.0));
 }
 
-TEST(WordScoreListsTest, MergeAddsNewTermsOnly) {
-  Fixture f;
-  WordScoreLists a = WordScoreLists::Build(
-      f.inverted, f.forward, f.dict, std::vector<TermId>{f.term("db")});
-  WordScoreLists b = WordScoreLists::Build(
-      f.inverted, f.forward, f.dict,
-      std::vector<TermId>{f.term("db"), f.term("kernel")});
-  const std::size_t db_len = a.list(f.term("db")).size();
-  a.Merge(std::move(b));
-  EXPECT_TRUE(a.Has(f.term("kernel")));
-  EXPECT_EQ(a.list(f.term("db")).size(), db_len);
-}
-
 TEST(WordScoreListsTest, SerializationRoundTrip) {
   Fixture f;
   WordScoreLists lists =
